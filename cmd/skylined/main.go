@@ -55,6 +55,25 @@ func main() {
 	}
 }
 
+// Connection-level limits. A client that trickles its request header
+// or parks an idle keep-alive connection would otherwise hold a
+// connection (and its goroutine) forever. Request bodies are left
+// unbounded in time: a large batch on a slow link is legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the server skylined listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(configPath, listen string) error {
 	if configPath == "" {
 		return fmt.Errorf("-config is required")
@@ -78,7 +97,7 @@ func run(configPath, listen string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: cfg.Listen, Handler: srv.Handler()}
+	hs := newHTTPServer(cfg.Listen, srv.Handler())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

@@ -15,48 +15,59 @@ type span struct {
 	words int
 }
 
+// maxCritical bounds the critical spans of one queue: F, L, the first
+// three records of C and last(C), first(B), first(D1), last(Dk), and
+// last(front(Dk)) or last(Dk−1).
+const maxCritical = 10
+
 // criticalSpans returns the block spans of the queue's critical records
-// and buffers.
-func (q *Queue) criticalSpans() []span {
-	var out []span
+// and buffers: the first n entries of out. They come back by value, so
+// the per-update admit/pin/unpin path allocates nothing; a queue is
+// immutable, so every call on one queue returns the same spans.
+func (q *Queue) criticalSpans() (out [maxCritical]span, n int) {
+	add := func(block emio.BlockID, words int) {
+		out[n] = span{block, words}
+		n++
+	}
+	rec := func(r *record) {
+		if r != nil {
+			add(r.block, r.words)
+		}
+	}
 	if q.fWords > 0 {
-		out = append(out, span{q.fBlock, q.fWords})
+		add(q.fBlock, q.fWords)
 	}
 	if q.lWords > 0 {
-		out = append(out, span{q.lBlock, q.lWords})
-	}
-	add := func(r *record) {
-		if r != nil {
-			out = append(out, span{r.block, r.words})
-		}
+		add(q.lBlock, q.lWords)
 	}
 	for i := 0; i < 3 && i < len(q.c); i++ {
-		add(q.c[i])
+		rec(q.c[i])
 	}
 	if !q.c.empty() {
-		add(q.c.last())
+		rec(q.c.last())
 	}
 	if !q.bq.empty() {
-		add(q.bq.first())
+		rec(q.bq.first())
 	}
 	if kq := q.k(); kq > 0 {
-		add(q.d[0].first())
+		rec(q.d[0].first())
 		dk := q.d[kq-1]
-		add(dk.last())
+		rec(dk.last())
 		if len(dk) > 1 {
-			add(dk.front().last())
+			rec(dk.front().last())
 		} else if kq > 1 {
-			add(q.d[kq-2].last())
+			rec(q.d[kq-2].last())
 		}
 	}
-	return out
+	return out, n
 }
 
 // CriticalWords returns the total words of the critical spans: the size
 // contribution of this queue to its parent's representative block.
 func (q *Queue) CriticalWords() int {
+	spans, n := q.criticalSpans()
 	w := 0
-	for _, s := range q.criticalSpans() {
+	for _, s := range spans[:n] {
 		w += s.words
 	}
 	return w
@@ -66,24 +77,29 @@ func (q *Queue) CriticalWords() int {
 // charge. Callers must have just paid for reading a packed copy (the
 // representative block); see emio.Admit.
 func (q *Queue) AdmitCritical() {
-	for _, s := range q.criticalSpans() {
+	spans, n := q.criticalSpans()
+	for _, s := range spans[:n] {
 		q.disk.AdmitSpan(s.block, s.words)
 	}
 }
 
 // PinCritical pins the critical records in memory (charging reads for
-// any that are cold), returning an unpin function. This realises the
-// paper's "constant number of blocks pinned in main memory" assumption
-// behind the O(1/b) amortized bounds.
-func (q *Queue) PinCritical() (unpin func()) {
-	spans := q.criticalSpans()
-	for _, s := range spans {
+// any that are cold). This realises the paper's "constant number of
+// blocks pinned in main memory" assumption behind the O(1/b) amortized
+// bounds. Every PinCritical is matched by one UnpinCritical on the same
+// queue.
+func (q *Queue) PinCritical() {
+	spans, n := q.criticalSpans()
+	for _, s := range spans[:n] {
 		q.disk.PinSpan(s.block, s.words)
 	}
-	return func() {
-		for _, s := range spans {
-			q.disk.UnpinSpan(s.block, s.words)
-		}
+}
+
+// UnpinCritical releases the pins of one PinCritical on q.
+func (q *Queue) UnpinCritical() {
+	spans, n := q.criticalSpans()
+	for _, s := range spans[:n] {
+		q.disk.UnpinSpan(s.block, s.words)
 	}
 }
 

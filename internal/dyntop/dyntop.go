@@ -56,6 +56,10 @@ type Tree struct {
 	kMin int // leaf occupancy in [kMin, 2*kMin]
 	root *node
 	n    int
+
+	// qs is refreshInternal's scratch for the children's queues. Writers
+	// are serialized, and queries (live or on a Handle) never use it.
+	qs []*cpqa.Queue
 }
 
 // New returns an empty tree with the given ε.
@@ -159,18 +163,24 @@ func point(e cpqa.Elem) geom.Point { return geom.Point{X: e.Aux, Y: -e.Key} }
 // the strictly increasing (in key = −y) subsequence that survives
 // attrition. Host CPU only; used when (re)building leaf queues.
 func staircase(pts []geom.Point) []cpqa.Elem {
-	var out []cpqa.Elem
-	// Scan right to left keeping the running maximum y.
+	// Scan right to left keeping the running maximum y: once to size
+	// the result, once to fill it from the back.
+	n := 0
 	best := geom.Coord(math.MinInt64)
-	idx := make([]int, 0, len(pts))
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].Y > best {
-			idx = append(idx, i)
+			n++
 			best = pts[i].Y
 		}
 	}
-	for i := len(idx) - 1; i >= 0; i-- {
-		out = append(out, elem(pts[idx[i]]))
+	out := make([]cpqa.Elem, n)
+	best = geom.Coord(math.MinInt64)
+	for i := len(pts) - 1; i >= 0; i-- {
+		if pts[i].Y > best {
+			n--
+			out[n] = elem(pts[i])
+			best = pts[i].Y
+		}
 	}
 	return out
 }
@@ -204,17 +214,18 @@ func (t *Tree) refreshInternal(nd *node) {
 		t.disk.FreeSpan(nd.repBlock, nd.repWords)
 		nd.repWords = 0
 	}
-	qs := make([]*cpqa.Queue, 0, len(nd.children))
-	var unpins []func()
+	qs := t.qs[:0]
 	for _, c := range nd.children {
 		c.q.AdmitCritical()
-		unpins = append(unpins, c.q.PinCritical())
+		c.q.PinCritical()
 		qs = append(qs, c.q)
 	}
 	nd.q = cpqa.CatenateAll(qs).BiasUntilReady()
-	for _, u := range unpins {
-		u()
+	for _, c := range nd.children {
+		c.q.UnpinCritical()
 	}
+	clear(qs) // keep no superseded queue reachable from the scratch
+	t.qs = qs[:0]
 	nd.minX = nd.children[0].minX
 	nd.maxX = nd.children[len(nd.children)-1].maxX
 	// Pack copies of the children's critical records.
@@ -456,12 +467,11 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 	if v.root == nil || x1 > x2 {
 		return nil
 	}
-	var qs []*cpqa.Queue
-	var unpins []func()
-	v.collect(v.root, x1, x2, &qs, &unpins)
+	var qs, pinned []*cpqa.Queue
+	v.collect(v.root, x1, x2, &qs, &pinned)
 	merged := cpqa.CatenateAll(qs)
-	for _, u := range unpins {
-		u()
+	for _, q := range pinned {
+		q.UnpinCritical()
 	}
 	var out []geom.Point
 	for merged != nil && !merged.Empty() {
@@ -478,8 +488,9 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 
 // collect gathers, in ascending x order, the queues covering [x1,x2]:
 // whole-node queues for maximal contained subtrees and fresh partial
-// queues for the boundary leaves.
-func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]func()) {
+// queues for the boundary leaves. pinned receives the queues whose
+// critical records were pinned, for the caller to unpin.
+func (v view) collect(nd *node, x1, x2 geom.Coord, qs, pinned *[]*cpqa.Queue) {
 	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
 		return
 	}
@@ -487,7 +498,8 @@ func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]
 		v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
 		if nd.minX >= x1 && nd.maxX <= x2 {
 			nd.q.AdmitCritical()
-			*unpins = append(*unpins, nd.q.PinCritical())
+			nd.q.PinCritical()
+			*pinned = append(*pinned, nd.q)
 			*qs = append(*qs, nd.q)
 			return
 		}
@@ -508,11 +520,12 @@ func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]
 		}
 		if c.minX >= x1 && c.maxX <= x2 {
 			c.q.AdmitCritical()
-			*unpins = append(*unpins, c.q.PinCritical())
+			c.q.PinCritical()
+			*pinned = append(*pinned, c.q)
 			*qs = append(*qs, c.q)
 			continue
 		}
-		v.collect(c, x1, x2, qs, unpins)
+		v.collect(c, x1, x2, qs, pinned)
 	}
 }
 

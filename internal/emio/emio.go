@@ -124,7 +124,10 @@ type Disk struct {
 	// frames is the LRU cache of resident blocks: the frame, pin and
 	// eviction discipline shared with the file-backed pager
 	// (internal/pager). Evicting a dirty frame charges one write I/O
-	// through the table's eviction callback.
+	// through the table's eviction callback. Every resident frame
+	// names a live block (reclaim drops the frame before the block),
+	// so touch, pin and admitClean probe the frames first and consult
+	// live only on a miss.
 	frames *FrameTable
 
 	// Snapshot retention state (see retain.go): while retained is
@@ -412,12 +415,12 @@ func (d *Disk) Pin(id BlockID) {
 }
 
 func (d *Disk) pin(id BlockID) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: Pin of unallocated block %d", id))
-	}
 	if f := d.frames.Get(uint64(id)); f != nil {
 		d.frames.Pin(f)
 		return
+	}
+	if _, ok := d.live[id]; !ok {
+		panic(fmt.Sprintf("emio: Pin of unallocated block %d", id))
 	}
 	// Fetch and pin atomically (Admit with pins=1) so the new frame
 	// cannot be chosen as its own eviction victim when the cache is
@@ -471,11 +474,11 @@ func (d *Disk) Admit(id BlockID) {
 }
 
 func (d *Disk) admitClean(id BlockID) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: Admit of unallocated block %d", id))
-	}
 	if d.frames.Get(uint64(id)) != nil {
 		return
+	}
+	if _, ok := d.live[id]; !ok {
+		panic(fmt.Sprintf("emio: Admit of unallocated block %d", id))
 	}
 	d.frames.Admit(uint64(id), false, 0)
 }
@@ -511,12 +514,12 @@ func (d *Disk) Resident(id BlockID) bool {
 // touch makes id resident, charging I/Os as needed, and moves it to the
 // front of the LRU list.
 func (d *Disk) touch(id BlockID, write bool) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: access to unallocated block %d", id))
-	}
 	if f := d.frames.Get(uint64(id)); f != nil {
 		d.frames.Touch(f, write)
 		return
+	}
+	if _, ok := d.live[id]; !ok {
+		panic(fmt.Sprintf("emio: access to unallocated block %d", id))
 	}
 	d.reads.Add(1)
 	d.frames.Admit(uint64(id), write, 0)

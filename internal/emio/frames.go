@@ -15,6 +15,10 @@
 //     maintained exactly, so owners can assert the accounting that the
 //     paper's amortized bounds rest on.
 //
+// Frames dropped by eviction or Remove go on a free list that Admit
+// draws from, so a table in steady state (every admission paid for by
+// an eviction) allocates nothing.
+//
 // The table is not safe for concurrent use; owners guard it with their
 // own mutex (Disk's guarded mode, the pager's lock).
 package emio
@@ -22,6 +26,12 @@ package emio
 // Frame is one cache slot of a FrameTable, holding the residency state
 // of one fixed-size storage unit (a simulated block, a pager page).
 // Owners attach payloads by keying on ID in a side table.
+//
+// A *Frame is valid only while its unit is resident. Once the frame is
+// evicted (by Admit, including an Admit that evicts the frame it just
+// admitted when the capacity is 0, or by EvictAll) or dropped by
+// Remove, the table recycles it for a later Admit of another unit:
+// owners must not keep it, and re-fetch with Get instead.
 type Frame struct {
 	// ID names the cached unit.
 	ID uint64
@@ -31,7 +41,7 @@ type Frame struct {
 	Pins int
 
 	prev *Frame // LRU list; more recently used towards head
-	next *Frame
+	next *Frame // also links the free list
 }
 
 // FrameTable is an LRU table of resident frames with a pin discipline.
@@ -43,6 +53,7 @@ type FrameTable struct {
 	pinned   int    // resident frames with Pins > 0
 	capacity int    // total frames permitted (pins may overflow it)
 	onEvict  func(*Frame)
+	free     *Frame // dropped frames, linked through next, reused by Admit
 }
 
 // NewFrameTable returns an empty table holding up to capacity frames.
@@ -86,8 +97,18 @@ func (t *FrameTable) Touch(f *Frame, dirty bool) {
 // must be atomic so the new frame cannot be chosen as its own eviction
 // victim when the cache is saturated with pins). The caller guarantees
 // id is not resident.
+//
+// The frame is a recycled one when the free list holds any. The
+// returned pointer is valid until the frame is evicted or removed; with
+// pins == 0 and capacity 0 that is already the case on return.
 func (t *FrameTable) Admit(id uint64, dirty bool, pins int) *Frame {
-	f := &Frame{ID: id, Dirty: dirty, Pins: pins}
+	f := t.free
+	if f != nil {
+		t.free = f.next
+	} else {
+		f = new(Frame)
+	}
+	*f = Frame{ID: id, Dirty: dirty, Pins: pins}
 	t.pushFront(f)
 	t.resident[id] = f
 	if pins > 0 {
@@ -127,16 +148,16 @@ func (t *FrameTable) Unpin(f *Frame) {
 	}
 }
 
-// Remove drops a frame without the eviction callback — the path for
-// freeing a dead unit whose content must NOT be written back.
+// Remove drops a resident frame without the eviction callback — the
+// path for freeing a dead unit whose content must NOT be written back.
+// f is recycled and must not be used afterwards.
 func (t *FrameTable) Remove(f *Frame) {
 	if f.Pins > 0 {
 		t.pinned--
 	} else {
 		t.unpinned--
 	}
-	t.unlink(f)
-	delete(t.resident, f.ID)
+	t.drop(f)
 }
 
 // EvictAll evicts every unpinned frame (running the eviction callback
@@ -156,9 +177,16 @@ func (t *FrameTable) evict(f *Frame) {
 	if t.onEvict != nil {
 		t.onEvict(f)
 	}
+	t.unpinned--
+	t.drop(f)
+}
+
+// drop unlinks a frame, forgets its id and pushes it on the free list.
+func (t *FrameTable) drop(f *Frame) {
 	t.unlink(f)
 	delete(t.resident, f.ID)
-	t.unpinned--
+	f.next = t.free
+	t.free = f
 }
 
 // lruUnpinned returns the least recently used unpinned frame, or nil.

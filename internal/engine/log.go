@@ -42,7 +42,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/emio"
@@ -242,7 +241,7 @@ func (lb *LogBackend) Checkpoint(fn func(live []geom.Point) error) error {
 	for p := range lb.live {
 		pts = append(pts, p)
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	geom.SortByX(pts)
 	return fn(pts)
 }
 

@@ -157,7 +157,7 @@ func (ix *Index) refreshInternal(nd *node) {
 	for _, c := range nd.children {
 		collect(c)
 	}
-	sort.Slice(tp, func(i, j int) bool { return tp[i].X < tp[j].X })
+	geom.SortByX(tp) // keys (the original y's) are distinct
 	// Right-open secondaries use ε = 0: query O(log(n/B) + k/B),
 	// update O(log(n/B)) worst case — exactly what Theorem 6 needs.
 	nd.r = dyntop.BuildSABE(ix.disk, 0, tp)

@@ -5,8 +5,10 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -105,9 +107,17 @@ func (r Rect) String() string {
 		fmtSide(r.X1), fmtSide(r.X2), fmtSide(r.Y1), fmtSide(r.Y2))
 }
 
+// Compare is the three-way form of Less, for slices.SortFunc.
+func Compare(p, q Point) int {
+	if c := cmp.Compare(p.X, q.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Y, q.Y)
+}
+
 // SortByX sorts points in place by x-coordinate, breaking ties by y.
 func SortByX(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return Less(pts[i], pts[j]) })
+	slices.SortFunc(pts, Compare)
 }
 
 // Skyline returns the maximal points of pts: those dominated by no other
@@ -211,8 +221,8 @@ func RankSpace(pts []Point) (out []Point, xs, ys []Coord) {
 		xs = append(xs, p.X)
 		ys = append(ys, p.Y)
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
+	slices.Sort(xs)
+	slices.Sort(ys)
 	xs = dedup(xs)
 	ys = dedup(ys)
 	out = make([]Point, len(pts))

@@ -258,8 +258,12 @@ func (p *Pager) page(id uint64, create bool) ([]byte, error) {
 		// all-zero page, and leaving it resident would let a later
 		// Flush/Close write zeros over a page the current metadata
 		// still describes.
+		// When every other frame is pinned, the admission evicted fr
+		// itself, and the table has already recycled it.
 		p.evictErr = nil
-		p.cache.Remove(fr)
+		if p.cache.Get(id) == fr {
+			p.cache.Remove(fr)
+		}
 		delete(p.pages, id)
 		return nil, err
 	}

@@ -222,6 +222,40 @@ func TestEvictErrorDropsAdmittedFrame(t *testing.T) {
 	}
 }
 
+// TestEvictErrorOnSelfEvictedFrame: with every other frame pinned, a
+// page admission evicts its own frame. When that write-back fails, the
+// backout must not remove the frame a second time: the table has
+// already dropped (and recycled) it, so a second Remove would corrupt
+// the LRU list and the pin accounting.
+func TestEvictErrorOnSelfEvictedFrame(t *testing.T) {
+	path := tmpFile(t)
+	p, err := Open(path, 1)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var page [PageSize]byte
+	if err := p.Write(1, page[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Pin(1); err != nil {
+		t.Fatal(err)
+	}
+	p.f.Close() // break the file: the eviction write-back must fail
+	if err := p.Write(2, page[:]); err == nil {
+		t.Fatalf("Write over a broken write-back reported success")
+	}
+	if p.cache.Get(2) != nil {
+		t.Fatalf("failed admission left frame 2 resident")
+	}
+	if p.cache.Len() != 1 || p.cache.Pinned() != 1 || p.cache.Unpinned() != 0 {
+		t.Fatalf("len/pinned/unpinned = %d/%d/%d, want 1/1/0",
+			p.cache.Len(), p.cache.Pinned(), p.cache.Unpinned())
+	}
+	if fr := p.cache.Get(1); fr == nil || fr.Pins != 1 {
+		t.Fatalf("pinned page 1 lost its frame: %+v", fr)
+	}
+}
+
 // TestLeftoverShadowSwept: a shadow file orphaned by a crash between
 // write and rename is deleted at Open, and the data file — the
 // authority — reads back unharmed.
