@@ -1,8 +1,11 @@
 // Package core assembles the paper's structures into one database-style
 // index for planar range skyline reporting — the primary deliverable of
-// the reproduction. Query execution is delegated to an engine.Planner
-// that routes each query kind (Figure 2) to the asymptotically best
-// registered backend:
+// the reproduction. The structures live in a sharded engine
+// (internal/shard): K ≥ 1 x-range partitions, each on its own simulated
+// disk with the same structures a single-disk index has, so one shard IS
+// the single-disk index. Query execution is delegated to an
+// engine.Planner that routes each query kind (Figure 2) to the
+// asymptotically best structure:
 //
 //   - top-open, dominance and contour queries go to the Theorem 1 static
 //     structure (O(log_B n + k/B)) or, when the index is opened dynamic,
@@ -16,15 +19,13 @@
 //   - 4-sided, left-open, bottom-open and anti-dominance queries (and
 //     right-open ones, without mirrors) go to the Theorem 6 structure
 //     (O((n/B)^ε + k/B), optimal at linear space by Theorem 5; updates
-//     O(log(n/B)) amortized);
-//   - with Options.Shards > 1, every shape is served by the sharded
-//     concurrent engine (internal/shard), whose per-shard structures are
-//     the same two families on x-disjoint partitions, so its answers are
-//     byte-identical to the single-disk structures'.
+//     O(log(n/B)) amortized).
 //
-// Updates — single-point and batched — fan out through the same planner
-// to every registered backend, so all backends always index the same
-// point set. Everything runs on a simulated external-memory machine
+// With K > 1 shards a query fans out to the shards its x-range overlaps
+// and the per-shard skylines merge right-to-left, so the answers are
+// byte-identical to one shard's. Updates — single-point and batched —
+// fan out through the same planner to the primary engine and the mirror,
+// so both always index the same point set. Everything runs on a simulated external-memory machine
 // (emio), so every operation reports exactly the I/O cost the theorems
 // bound.
 package core
@@ -35,15 +36,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dyntop"
 	"repro/internal/emio"
 	"repro/internal/engine"
-	"repro/internal/extsort"
-	"repro/internal/foursided"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/shard"
-	"repro/internal/topopen"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -60,22 +57,21 @@ type Options struct {
 	// 3-sided queries faster and builds in O(n/B) after sorting, but
 	// rejects Insert and Delete.
 	Dynamic bool
-	// Shards > 1 partitions the point set by x-range and serves every
-	// Figure-2 query shape from a sharded concurrent engine
-	// (internal/shard), each shard owning a private guarded disk with
-	// its own top-open and 4-sided structures. The answers are
-	// identical to the single-disk structures'; the engine additionally
-	// admits concurrent callers and batched updates that take each
-	// shard lock once per batch.
+	// Shards is the number K of x-range partitions; zero means one.
+	// Each shard owns a private guarded disk with its own top-open and
+	// 4-sided structures, so one shard is exactly the paper's
+	// single-disk index, and the answers are identical for every K.
+	// More shards spread concurrent callers and batched updates (one
+	// shard lock per batch) across disks.
 	Shards int
-	// Workers bounds the sharded engine's concurrent per-shard tasks;
-	// zero means Shards. Ignored when Shards <= 1.
+	// Workers bounds the concurrent per-shard tasks of a query or batch
+	// spanning several shards; zero means Shards. A query overlapping
+	// one shard runs on the caller's goroutine.
 	Workers int
 	// Mirrors trades space for query speed on the grounded-right-edge
 	// query family: it maintains a transposed (x↔y) copy of the point
-	// set under its own top-open structure — sharded alongside the
-	// primary engine when Shards > 1, on a private disk otherwise — and
-	// routes right-open queries (Figure 2b, plus the unnamed rectangles
+	// set under its own top-open structures — a second engine with the
+	// same shard count, on its own disks — and routes right-open queries (Figure 2b, plus the unnamed rectangles
 	// with a grounded right edge) to it, replacing the Theorem 6
 	// Ω((n/B)^ε) cost with the Theorem 1/4 O(log) bounds. On a static
 	// index the win is immediate (Theorem 1: O(log_B n + k/B), measured
@@ -95,17 +91,17 @@ type Options struct {
 	// RangeSkyline answers in an LRU map keyed by the canonicalized
 	// query rectangle — hot rectangles are re-answered from memory at
 	// zero simulated I/O, byte-identically to the uncached answers.
-	// Updates invalidate shard-aware: with Shards > 1 the cache learns
-	// the engine's x-cuts (and, with Mirrors, the mirrored engine's
-	// y-cuts) and a write evicts only the entries whose rectangles
-	// intersect the written point's slab; unsharded indexes flush the
-	// cache on every applied write. A Delete that misses evicts
+	// Updates invalidate shard-aware: the cache learns the engine's
+	// x-cuts (and, with Mirrors, the mirrored engine's y-cuts) and a
+	// write evicts only the entries whose rectangles intersect the
+	// written point's slab; with one shard there are no cuts and every
+	// applied write flushes the cache. A Delete that misses evicts
 	// nothing.
 	CacheEntries int
 	// AsyncWrites buffers Insert/Delete (and the batched forms) in an
 	// engine.AsyncQueue in front of everything else: writes append to
-	// per-x-slab buffers (the sharded engine's shards, or one buffer
-	// unsharded) and return without touching any structure, so writer
+	// per-x-slab buffers (one per shard) and return without touching
+	// any structure, so writer
 	// latency is independent of structure rebuild costs. Buffers drain
 	// through the batched paths — one structure lock per shard per
 	// drain, and one cache invalidation sweep per drain when
@@ -116,13 +112,9 @@ type Options struct {
 	// byte-identical to a synchronous index's. Requires Dynamic. In
 	// this mode Delete/BatchDelete report ACCEPTANCE, not presence
 	// (hit-or-miss resolves at drain), and Len flushes first so it
-	// stays exact. The concurrency contract is unchanged: concurrent
-	// callers require Shards > 1. The background drainer is safe even
-	// unsharded with a single caller — it only applies non-empty
-	// buffers, a buffer can only be non-empty through that caller's
-	// own writes (which every read of the single slab drains first),
-	// and drains serialize with drain-on-read through the per-slab
-	// drain lock.
+	// stays exact. Concurrent callers are safe in every configuration:
+	// drains serialize with drain-on-read through the per-slab drain
+	// lock, and the structures behind them through the shard locks.
 	AsyncWrites bool
 	// FlushPoints is the per-buffer drain threshold when AsyncWrites
 	// is set; zero means 128.
@@ -184,7 +176,8 @@ type Options struct {
 	// brief topology lock. Cut changes propagate to the cache's slab
 	// tags and the async queue's buffers automatically; open snapshots
 	// keep serving the topology they pinned. Requires Dynamic and
-	// Shards > 1. Answers are unaffected — only the work distribution
+	// Shards > 1 (one shard's load always equals the mean, so it never
+	// splits). Answers are unaffected — only the work distribution
 	// moves (DB.RebalanceStats reports the activity).
 	Rebalance bool
 	// MaxShardSkew is the rebalance trigger ratio: a shard hotter than
@@ -201,11 +194,10 @@ type Options struct {
 }
 
 // DB is a planar range skyline index over a simulated EM machine. All
-// queries and updates flow through an engine.Planner over the registered
-// backends.
+// queries and updates flow through an engine.Planner over the sharded
+// engine and its mirror. Every method is safe for concurrent use.
 type DB struct {
 	opts Options
-	disk *emio.Disk
 
 	plan *engine.Planner
 
@@ -246,19 +238,16 @@ type DB struct {
 	// state until a reopen recovers.
 	degrade degradeState
 
-	// Sharded engine serving every query shape; non-nil iff
-	// Options.Shards > 1, replacing the single-disk backends.
+	// eng is the sharded engine serving every query shape.
 	eng *shard.Engine
 
-	// meng is the sharded mirror engine; non-nil iff Shards > 1 and
-	// Mirrors. Kept so rebalancing can be wired and forced on the
-	// mirror's axis too.
+	// meng is the transposed mirror engine; non-nil iff Mirrors. Kept
+	// so rebalancing, cache drops and quiescing reach the mirror's
+	// disks too.
 	meng *shard.Engine
 
-	// n is atomic so Len and the update paths are safe for the
-	// concurrent callers the sharded engine admits. The single-disk
-	// backends themselves serialize nothing — concurrent updates are
-	// only safe when sharded, exactly as for the underlying engine.
+	// n is atomic so Len and the update paths are safe for concurrent
+	// callers; the shard locks serialize the structures themselves.
 	n atomic.Int64
 
 	// openSnaps counts unclosed snapshots (see DB.Snapshot); the leak
@@ -286,7 +275,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 			return nil, fmt.Errorf("core: Rebalance requires Options.Dynamic (transitions rebuild shard structures)")
 		}
 		if opts.Shards <= 1 {
-			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (nothing to rebalance unsharded)")
+			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (a single shard never splits)")
 		}
 	}
 	sorted := append([]geom.Point(nil), pts...)
@@ -304,10 +293,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		sorted = dur.base
 	}
 
-	// The disk is guarded even unsharded: snapshot readers
-	// (DB.Snapshot) run lock-free against live writers, and both sides
-	// charge I/Os to this disk.
-	db := &DB{opts: opts, disk: emio.NewConcurrentDisk(opts.Machine), plan: new(engine.Planner)}
+	db := &DB{opts: opts}
 	if dur != nil {
 		db.pager, db.wal, db.recov = dur.pager, dur.wal, dur.recov
 	}
@@ -322,34 +308,20 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		}
 	}()
 	db.n.Store(int64(len(sorted)))
-	if opts.Shards > 1 {
-		eng, err := shard.New(shard.Options{
-			Machine:   opts.Machine,
-			Epsilon:   opts.Epsilon,
-			Shards:    opts.Shards,
-			Workers:   opts.Workers,
-			Dynamic:   opts.Dynamic,
-			Rebalance: opts.Rebalance,
-			MaxSkew:   opts.MaxShardSkew,
-		}, sorted)
+	eng, err := shard.New(db.shardOptions(false), sorted)
+	if err != nil {
+		return nil, err
+	}
+	db.eng = eng
+	var mirrors []*engine.MirrorBackend
+	if opts.Mirrors {
+		m, err := db.buildMirror(sorted)
 		if err != nil {
 			return nil, err
 		}
-		db.eng = eng
-		// One backend serves both families: the per-shard merge keeps
-		// its answers identical to the single-disk structures'.
-		db.plan.RegisterTopOpen(eng)
-		db.plan.RegisterGeneral(eng)
-	} else {
-		db.plan.RegisterTopOpen(buildTopOpen(db.disk, opts.Epsilon, opts.Dynamic, sorted))
-		four := foursided.Build(db.disk, opts.Epsilon, sorted)
-		db.plan.RegisterGeneral(engine.NewFourSided(four, db.disk))
+		mirrors = append(mirrors, m)
 	}
-	if opts.Mirrors {
-		if err := db.addMirror(sorted); err != nil {
-			return nil, err
-		}
-	}
+	db.plan = engine.NewPlanner(eng, mirrors...)
 	db.front = db.plan
 	if opts.CacheEntries > 0 {
 		// The cache wraps the WHOLE planner, not one backend: keys are
@@ -434,63 +406,50 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 	return db, nil
 }
 
-// buildTopOpen builds the top-open-family backend over sorted points on
-// d: the Theorem 4 dynamic tree, or the Theorem 1 static index. The one
-// recipe serves both the primary unsharded backend and the unsharded
-// mirror, so the two can never drift apart.
-func buildTopOpen(d *emio.Disk, eps float64, dynamic bool, sorted []geom.Point) engine.Backend {
-	if dynamic {
-		return engine.NewDynTop(dyntop.BuildSABE(d, eps, sorted), d)
+// shardOptions configures the primary engine or, with topOnly, the
+// transposed mirror engine, which carries top-open structures only.
+// Both share the machine, shard count and rebalancing policy.
+func (db *DB) shardOptions(topOnly bool) shard.Options {
+	return shard.Options{
+		Machine:   db.opts.Machine,
+		Epsilon:   db.opts.Epsilon,
+		Shards:    db.opts.Shards,
+		Workers:   db.opts.Workers,
+		Dynamic:   db.opts.Dynamic,
+		TopOnly:   topOnly,
+		Rebalance: db.opts.Rebalance,
+		MaxSkew:   db.opts.MaxShardSkew,
 	}
-	f := extsort.FromSlice(d, 2, sorted)
-	top := topopen.Build(d, f)
-	f.Free()
-	return engine.NewTopOpen(top, d)
 }
 
-// addMirror builds the transposed fast path: a top-open structure (or a
-// sharded TopOnly engine, when the primary is sharded) over the x↔y
-// reflected point set, registered with the planner as a mirror so the
-// grounded-right-edge query family is served in the top-open bounds.
+// buildMirror builds the transposed fast path: a TopOnly engine over
+// the x↔y reflected point set, served as a mirror so the
+// grounded-right-edge query family is answered in the top-open bounds.
 // The mirrored points are strictly sorted by reflected x because the
 // input is in general position (no duplicate y).
-func (db *DB) addMirror(sorted []geom.Point) error {
+func (db *DB) buildMirror(sorted []geom.Point) (*engine.MirrorBackend, error) {
 	ref := geom.ReflectSwapXY
 	mirrored := ref.Pts(sorted)
 	geom.SortByX(mirrored)
-	var inner engine.Backend
-	if db.opts.Shards > 1 {
-		meng, err := shard.New(shard.Options{
-			Machine:   db.opts.Machine,
-			Epsilon:   db.opts.Epsilon,
-			Shards:    db.opts.Shards,
-			Workers:   db.opts.Workers,
-			Dynamic:   db.opts.Dynamic,
-			TopOnly:   true,
-			Rebalance: db.opts.Rebalance,
-			MaxSkew:   db.opts.MaxShardSkew,
-		}, mirrored)
-		if err != nil {
-			return err
-		}
-		db.meng = meng
-		inner = meng
-	} else {
-		// Guarded for the same reason as the primary disk: snapshot
-		// readers reach the mirror's storage without any lock.
-		inner = buildTopOpen(emio.NewConcurrentDisk(db.opts.Machine), db.opts.Epsilon, db.opts.Dynamic, mirrored)
-	}
-	m, err := engine.NewMirror(ref, inner)
+	meng, err := shard.New(db.shardOptions(true), mirrored)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	db.plan.RegisterMirror(m)
-	return nil
+	db.meng = meng
+	return engine.NewMirror(ref, meng)
 }
 
-// Sharded returns the sharded concurrent engine serving every query
-// shape, or nil when the index was opened with Shards <= 1.
+// Sharded returns the sharded engine serving every query shape (one
+// shard unless Options.Shards > 1).
 func (db *DB) Sharded() *shard.Engine { return db.eng }
+
+// engines returns the primary engine and, with Mirrors, the mirror's.
+func (db *DB) engines() []*shard.Engine {
+	if db.meng == nil {
+		return []*shard.Engine{db.eng}
+	}
+	return []*shard.Engine{db.eng, db.meng}
+}
 
 // RebalanceStats reports the online-rebalancing activity of both
 // sharded engines: splits/merges completed, current shard counts, and
@@ -512,9 +471,9 @@ type RebalanceStats struct {
 }
 
 // RebalanceStats returns the current rebalancing totals; the zero value
-// when the index was opened without Options.Rebalance (or unsharded).
+// when the index was opened without Options.Rebalance.
 func (db *DB) RebalanceStats() RebalanceStats {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return RebalanceStats{}
 	}
 	c := db.eng.RebalanceCounters()
@@ -532,7 +491,7 @@ func (db *DB) RebalanceStats() RebalanceStats {
 // transition. A test and operational hook — the load policy exercises
 // the identical transition path. Requires Options.Rebalance.
 func (db *DB) ForceSplit(i int) error {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return fmt.Errorf("core: rebalancing disabled; open with Options.Rebalance")
 	}
 	err := db.eng.ForceSplit(i)
@@ -548,7 +507,7 @@ func (db *DB) ForceSplit(i int) error {
 // selects the least populous adjacent pair); with Mirrors, the mirror
 // engine merges its own coldest pair. Requires Options.Rebalance.
 func (db *DB) ForceMerge(i int) error {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return fmt.Errorf("core: rebalancing disabled; open with Options.Rebalance")
 	}
 	err := db.eng.ForceMerge(i)
@@ -666,13 +625,8 @@ func (db *DB) Close() error {
 	if alreadyClosed {
 		return firstErr
 	}
-	for _, b := range db.plan.Backends() {
-		if m, ok := b.(*engine.MirrorBackend); ok {
-			b = m.Inner()
-		}
-		if qc, ok := b.(interface{ Quiesce() }); ok {
-			qc.Quiesce()
-		}
+	for _, e := range db.engines() {
+		e.Quiesce()
 	}
 	if db.logb != nil {
 		// Everything acknowledged is applied (queue closed above) and
@@ -703,9 +657,14 @@ func (db *DB) Close() error {
 // rectangle routes to, the registered backends).
 func (db *DB) Planner() *engine.Planner { return db.plan }
 
-// Disk exposes the simulated machine for I/O measurements. When sharded,
-// the per-shard disks are reached through Sharded().ShardDisk.
-func (db *DB) Disk() *emio.Disk { return db.disk }
+// DropCache empties the frame cache of every shard disk, the primary
+// engine's and the mirror's, so the next query runs cold — the hook
+// behind cold-cache I/O measurements.
+func (db *DB) DropCache() {
+	for _, e := range db.engines() {
+		e.DropCache()
+	}
+}
 
 // Len returns the number of indexed points. Safe to call while
 // operations are in flight. With AsyncWrites it first drains every
@@ -804,9 +763,9 @@ func (db *DB) Insert(p geom.Point) error {
 }
 
 // Delete removes a point from a dynamic index, reporting presence. The
-// planner consults the primary (top-open) backend first and only mutates
-// the remaining backends after it confirms presence, so a miss never
-// leaves the backends inconsistent. With AsyncWrites the delete is
+// planner consults the primary engine first and only mutates the mirror
+// after it confirms presence, so a miss never leaves the two
+// inconsistent. With AsyncWrites the delete is
 // buffered and the bool reports ACCEPTANCE; presence resolves at drain
 // through the same presence-check-first batched path, and a miss
 // applies nothing anywhere.
@@ -861,8 +820,10 @@ func (db *DB) BatchDelete(pts []geom.Point) (int, error) {
 // themselves — the per-point resolution a caller multiplexing many
 // clients' deletes into one batch (the HTTP front end's group commit)
 // needs to answer each client individually. On a synchronous index the
-// returned slice is the confirmed-removed subset in batch order,
-// straight from the planner's presence-check-first path. With
+// returned slice is the confirmed-removed subset, straight from the
+// planner's presence-check-first path: grouped by shard in increasing-x
+// order, in batch order within each shard (batch order outright with
+// one shard). With
 // AsyncWrites it is the ACCEPTED batch — the whole of pts, matching
 // Delete's acceptance bool — because hit-or-miss only resolves at
 // drain; a nil slice with a non-nil error means nothing was accepted.
@@ -891,10 +852,8 @@ func (db *DB) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
 	return removed, err
 }
 
-// Stats returns the I/O counters since the last ResetStats, aggregated
-// by the planner over every registered backend — the single-disk
-// structures, every shard disk, and every mirror's private storage —
-// counting each distinct disk exactly once.
+// Stats returns the I/O counters since the last ResetStats, summed over
+// every shard disk of the primary engine and the mirror.
 func (db *DB) Stats() emio.Stats {
 	return db.front.Stats()
 }

@@ -105,8 +105,8 @@ func TestDynamicLifecycle(t *testing.T) {
 
 // TestSevenShapeDispatch drives every named Figure-2 entry point —
 // including the RightOpen and BottomOpen conveniences — against the
-// oracle, for a static single-disk index, a dynamic one, and a sharded
-// one, and checks each shape routes to the expected backend family.
+// oracle, for a static one-shard index, a dynamic one, and a dynamic
+// four-shard one, and checks every shape reaches the engine.
 func TestSevenShapeDispatch(t *testing.T) {
 	pts := geom.GenUniform(400, 4000, 211)
 	cfg := emio.Config{B: 32, M: 32 * 32}
@@ -147,56 +147,44 @@ func TestSevenShapeDispatch(t *testing.T) {
 				}
 			}
 		}
-		// Dispatch: with distinct backends, the top-open family must hit
-		// the top-open backend, everything else the general backend.
-		backends := db.plan.Backends()
-		if opts.Shards > 1 {
-			if len(backends) != 1 || backends[0] != db.plan.Route(geom.Contour(9)) {
-				t.Fatalf("sharded: want a single backend serving everything")
-			}
-		} else {
-			if len(backends) != 2 {
-				t.Fatalf("unsharded: %d backends, want 2", len(backends))
-			}
-			if db.plan.Route(geom.TopOpen(1, 9, 3)) != backends[0] {
-				t.Fatal("top-open not routed to the top-open backend")
-			}
-			if db.plan.Route(geom.RightOpen(1, 2, 8)) != backends[1] {
-				t.Fatal("right-open not routed to the general backend")
-			}
+		// Dispatch: without mirrors the planner holds the one engine,
+		// which serves every shape (routing each family to its own
+		// per-shard structure).
+		if backends := db.plan.Backends(); len(backends) != 1 || backends[0] != engine.Backend(db.eng) {
+			t.Fatalf("opts=%+v: want the sharded engine as the only backend, got %d", opts, len(backends))
+		}
+		if db.plan.Route(geom.RightOpen(1, 2, 8)) != engine.Backend(db.eng) {
+			t.Fatal("right-open not routed to the engine")
 		}
 	}
 }
 
 // TestDeletePresenceCheckFirst is the regression test for the update
 // ordering fix: a Delete whose primary engine reports the point absent
-// must not mutate the 4-sided backend, even if (through corruption or
-// drift) that backend still holds the point.
+// must not mutate the mirror, even if (through corruption or drift)
+// the mirror still holds the point.
 func TestDeletePresenceCheckFirst(t *testing.T) {
 	pts := geom.GenUniform(120, 2000, 213)
-	db, err := Open(Options{Machine: emio.Config{B: 16, M: 16 * 64}, Dynamic: true}, pts)
+	db, err := Open(Options{Machine: emio.Config{B: 16, M: 16 * 64}, Dynamic: true, Mirrors: true}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pts[17]
-	// Simulate drift: remove p from the primary (top-open) backend
-	// directly, behind the planner's back. The 4-sided backend still
-	// holds p.
-	primary := db.plan.Backends()[0]
-	if ok, err := primary.Delete(p); err != nil || !ok {
+	// Simulate drift: remove p from the primary engine directly, behind
+	// the planner's back. The mirror still holds p.
+	if ok, err := db.Sharded().Delete(p); err != nil || !ok {
 		t.Fatalf("primary.Delete(%v) = %t, %v", p, ok, err)
 	}
 	// The routed Delete must now report a miss without error and —
-	// crucially — without mutating the 4-sided backend (the old code
-	// deleted from it unconditionally and returned a disagreement
+	// crucially — without mutating the mirror (the old code deleted
+	// from every backend unconditionally and returned a disagreement
 	// error after the damage was done).
 	if ok, err := db.Delete(p); err != nil || ok {
 		t.Fatalf("Delete(%v) = %t, %v; want miss without error", p, ok, err)
 	}
-	four := db.plan.Backends()[1]
-	band := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
-	if got := four.RangeSkyline(band); len(got) != 1 || got[0] != p {
-		t.Fatalf("4-sided backend lost %v on a primary miss: %v", p, got)
+	mirror := db.Planner().Mirrors()[0]
+	if got := mirror.RangeSkyline(geom.RightOpen(p.X, p.Y, p.Y)); len(got) != 1 || got[0] != p {
+		t.Fatalf("mirror lost %v on a primary miss: %v", p, got)
 	}
 	// A delete of a genuinely absent point is a plain miss everywhere.
 	if ok, err := db.Delete(geom.Point{X: 1 << 40, Y: 1 << 40}); err != nil || ok {
@@ -492,9 +480,9 @@ func TestMirrorUpdatesStaySynchronized(t *testing.T) {
 }
 
 // TestStatsAggregationWithMirrors pins DB.Stats truthfulness (the
-// skybench contract): stats aggregate over every registered backend
-// including the mirror's private storage, each distinct disk counted
-// once, and ResetStats really zeroes the total.
+// skybench contract): stats aggregate over the primary engine and the
+// mirror's private storage, each disk counted once, and ResetStats
+// really zeroes the total.
 func TestStatsAggregationWithMirrors(t *testing.T) {
 	cfg := emio.Config{B: 32, M: 32 * 32}
 	pts := geom.GenUniform(500, 500*16, 65)
@@ -502,6 +490,7 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	primary := db.Sharded()
 	db.ResetStats()
 	if got := db.Stats().IOs(); got != 0 {
 		t.Fatalf("after ResetStats, IOs = %d", got)
@@ -512,26 +501,26 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	if mirrorIOs == 0 {
 		t.Fatal("mirror query reported zero I/Os through DB.Stats")
 	}
-	if got := db.Disk().Stats().IOs(); got != 0 {
-		t.Fatalf("mirror query charged %d I/Os to the primary disk", got)
+	if got := primary.Stats().IOs(); got != 0 {
+		t.Fatalf("mirror query charged %d I/Os to the primary engine", got)
 	}
-	// A 4-sided query touches only the primary disk; the total must be
-	// the exact sum of the two disks (no double counting).
+	// A 4-sided query touches only the primary engine; the total must be
+	// the exact sum of the two (no double counting).
 	db.RangeSkyline(geom.Rect{X1: 10, X2: 5000, Y1: 10, Y2: 5000})
-	primaryIOs := db.Disk().Stats().IOs()
+	primaryIOs := primary.Stats().IOs()
 	if primaryIOs == 0 {
-		t.Fatal("4-sided query reported zero I/Os on the primary disk")
+		t.Fatal("4-sided query reported zero I/Os on the primary engine")
 	}
 	mirror := db.Planner().Mirrors()[0]
-	if got, want := db.Stats(), db.Disk().Stats().Add(mirror.Stats()); got != want {
+	if got, want := db.Stats(), primary.Stats().Add(mirror.Stats()); got != want {
 		t.Fatalf("Stats() = %+v, want primary+mirror = %+v", got, want)
 	}
 	db.ResetStats()
 	if got := db.Stats().IOs(); got != 0 {
 		t.Fatalf("ResetStats left IOs = %d", got)
 	}
-	if got := db.Disk().Stats().IOs(); got != 0 {
-		t.Fatalf("ResetStats left primary disk IOs = %d", got)
+	if got := primary.Stats().IOs(); got != 0 {
+		t.Fatalf("ResetStats left primary engine IOs = %d", got)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/vfs"
@@ -234,12 +233,9 @@ func (db *DB) cleanup() {
 	if db.queue != nil {
 		db.queue.Close() //errlint:ok failure-path teardown; the construction error wins
 	}
-	for _, b := range db.plan.Backends() {
-		if m, ok := b.(*engine.MirrorBackend); ok {
-			b = m.Inner()
-		}
-		if qc, ok := b.(interface{ Quiesce() }); ok {
-			qc.Quiesce()
+	for _, e := range db.engines() {
+		if e != nil {
+			e.Quiesce()
 		}
 	}
 	if db.wal != nil {

@@ -14,7 +14,7 @@
 //	              are frozen by construction, live entries must not
 //	              serve them)
 //	Planner     — frozen into a routing table over pinned views
-//	structures  — immutable root handles + emio retentions
+//	shard.Engine— per-shard immutable root handles + emio retentions
 //
 // Generation accounting: each pinned structure opens a retention on
 // its disk (emio.RetainFrees), so spans the live index retires while
@@ -45,16 +45,14 @@ type Snapshot struct {
 
 // Snapshot pins the index's current state at a drain boundary: with
 // AsyncWrites the queue's buffers are flushed once (establishing the
-// boundary — the one drain a snapshot ever costs), and every
-// registered backend's roots are captured under brief per-shard locks
+// boundary — the one drain a snapshot ever costs), and the primary's
+// and the mirror's shard roots are captured under brief per-shard locks
 // with storage retentions opened first. No global quiesce, no cache
 // interaction. Reads on the returned Snapshot never drain and never
 // take shard write locks.
 //
-// Snapshot may race writers exactly where writers may race each other:
-// the sharded engine (its per-shard locks order the pin against every
-// update). An unsharded index admits one mutator at a time, and a pin
-// counts as a mutator — the same contract as its updates.
+// Snapshot may race writers in every configuration: the per-shard
+// locks order the pin against every update.
 func (db *DB) Snapshot() (*Snapshot, error) {
 	s, ok := db.front.(engine.Snapshottable)
 	if !ok {
@@ -71,14 +69,13 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 // OpenSnapshots reports the number of unclosed snapshots.
 func (db *DB) OpenSnapshots() int { return int(db.openSnaps.Load()) }
 
-// DeferredBlocks sums, over every distinct storage unit behind the
-// planner (single-disk structures, shard disks, mirror storage), the
-// blocks the live index has retired that open snapshots hold alive.
-// Zero at quiescence with every snapshot closed — the no-leak
-// invariant the race stress asserts.
+// DeferredBlocks sums, over every shard disk of the primary engine and
+// the mirror, the blocks the live index has retired that open snapshots
+// hold alive. Zero at quiescence with every snapshot closed — the
+// no-leak invariant the race stress asserts.
 func (db *DB) DeferredBlocks() int { return db.plan.DeferredBlocks() }
 
-// RetainedCount sums the open storage retentions (one per storage unit
+// RetainedCount sums the open storage retentions (one per shard disk
 // per unclosed snapshot).
 func (db *DB) RetainedCount() int { return db.plan.Retained() }
 

@@ -1,13 +1,12 @@
 // CacheBackend: the read-through memoization layer of the engine. It
-// wraps any Backend — the full Planner in core.DB, a sharded engine, a
-// mirror, or a single-disk adapter — and caches RangeSkyline answers in
+// wraps any Backend — the full Planner in core.DB, a sharded engine or a
+// mirror — and caches RangeSkyline answers in
 // an LRU map keyed by the canonicalized query rectangle, so hot
 // rectangles are re-answered from memory instead of re-walking the
 // dyntop/top-open or Theorem 6 machinery. Because the key is the
 // ORIGINAL rectangle (canonicalized, never the mirror-rewritten one),
 // the same entry serves a query whether the planner under the cache
-// routes it to the general backend, the top-open backend, or a
-// transposed mirror.
+// routes it to the primary or to a transposed mirror.
 //
 // Correctness rests on one geometric fact: RangeSkyline(q) depends only
 // on the points inside q, so an Insert or Delete of point p can change
@@ -489,35 +488,4 @@ func (c *CacheBackend) ResetStats() {
 	c.hits, c.misses, c.evictions, c.invalidations = 0, 0, 0, 0
 	c.mu.Unlock()
 	c.inner.ResetStats()
-}
-
-// StatsKey dedups stats through to the wrapped backend, so a registered
-// cache never double-counts I/Os with the backend it wraps (exactly
-// like MirrorBackend).
-func (c *CacheBackend) StatsKey() any { return statsKey(c.inner) }
-
-// cacheCounterer is implemented by backends carrying cache counters
-// (CacheBackend; a future tiered cache would too).
-type cacheCounterer interface{ Counters() CacheCounters }
-
-// CacheCounters aggregates the hit/miss/eviction counters of every
-// registered caching backend, deduped by StatsKey like Stats, so a
-// cache registered for several roles (top-open and general, say) is
-// counted once.
-func (pl *Planner) CacheCounters() CacheCounters {
-	var total CacheCounters
-	seen := make(map[any]bool, len(pl.backends))
-	for _, b := range pl.backends {
-		cc, ok := b.(cacheCounterer)
-		if !ok {
-			continue
-		}
-		k := statsKey(b)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		total = total.Add(cc.Counters())
-	}
-	return total
 }

@@ -210,11 +210,7 @@ func TestCacheYCutRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := new(engine.Planner)
-	pl.RegisterTopOpen(primary)
-	pl.RegisterGeneral(primary)
-	pl.RegisterMirror(m)
-	c, err := engine.NewCache(pl, 16)
+	c, err := engine.NewCache(engine.NewPlanner(primary, m), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,16 +241,6 @@ func TestCacheYCutRefinement(t *testing.T) {
 	}
 	if got := c.Counters(); got.Invalidations != 1 {
 		t.Fatalf("high write invalidated %d entries, want 1 (the band)", got.Invalidations)
-	}
-
-	// engine.CacheCounters aggregation: register the cache for both planner
-	// roles; the StatsKey dedup counts it once.
-	outer := new(engine.Planner)
-	outer.RegisterTopOpen(c)
-	outer.RegisterGeneral(c)
-	want := c.Counters()
-	if got := outer.CacheCounters(); got != want {
-		t.Fatalf("Planner.CacheCounters = %+v, want %+v (deduped)", got, want)
 	}
 }
 

@@ -1,37 +1,34 @@
 // Package engine defines the query-execution seam of the repository: a
 // Backend interface every range skyline engine implements, a Figure-2
 // shape classifier, and a small Planner that routes each query rectangle
-// to the best registered backend and fans updates out to every backend.
+// to the primary backend or a mirror and fans updates out to all of them.
 //
 // The paper's structures divide the seven Figure-2 query shapes into two
 // families. The top-open family (any rectangle whose top edge is
-// grounded: top-open, dominance, contour, whole-plane)
-// is answered by the Theorem 1/4 structures in O(log) I/Os; everything
+// grounded: top-open, dominance, contour, whole-plane) is answered by
+// the Theorem 1/4 structures in O(log) I/Os; everything
 // with a bounded top edge (4-sided, left-open, right-open, bottom-open,
 // anti-dominance) needs the Theorem 6 structure, whose Ω((n/B)^ε) cost
-// is optimal at linear space by Theorem 5. The Planner encodes exactly
-// that split: a backend registered for the top-open family takes the
-// cheap shapes, the general backend takes the rest — and when only a
-// general backend is registered (for example the sharded engine, which
-// serves both families itself), it takes everything.
+// is optimal at linear space by Theorem 5. The primary backend — the
+// sharded engine (internal/shard), one shard or many — carries both
+// families and routes each rectangle to the right structure itself.
 //
 // One refinement cuts across the two families: a MirrorBackend holds a
 // top-open structure over the transposed (x↔y) point set, and because
 // the transpose preserves dominance, it serves every rectangle whose
 // RIGHT edge is grounded — right-open queries and the unnamed
 // right-grounded shapes — in the top-open bounds. The planner offers
-// those rectangles to the mirrors before falling back to the general
-// backend. The remaining bounded-top shapes (4-sided, left-open,
-// bottom-open, anti-dominance) stay on the general backend by
+// those rectangles to the mirrors before falling back to the primary.
+// The remaining bounded-top shapes (4-sided, left-open, bottom-open,
+// anti-dominance) stay on the primary's Theorem 6 structures by
 // necessity, not omission: no other axis reflection preserves
 // dominance, and Theorem 5's lower bound pins them to Ω((n/B)^ε) at
 // linear space.
 //
-// Updates flow through the same seam. core.DB registers one backend per
-// physical structure; Insert/Delete/BatchInsert/BatchDelete apply to all
-// of them so every backend sees the same point set. The first registered
-// backend is the primary: Delete consults it first and touches the
-// others only after the primary confirms presence, so a miss never
+// Updates flow through the same seam: Insert/Delete/BatchInsert/
+// BatchDelete apply to the primary and every mirror, so all of them
+// index the same point set. Delete consults the primary first and
+// touches the mirrors only after it confirms presence, so a miss never
 // mutates any backend (see core.DB.Delete's regression test).
 package engine
 
@@ -152,90 +149,59 @@ func (s Shape) TopOpenFamily() bool {
 	return false
 }
 
-// Planner routes queries to the best registered backend and fans updates
-// out to every backend. It is not itself safe for concurrent
-// registration; register all backends before use (queries and updates
-// then inherit whatever concurrency the backends support).
+// Planner routes queries to the primary backend or a mirror and fans
+// updates out to all of them. It is immutable after NewPlanner, so
+// queries and updates inherit whatever concurrency the backends
+// support.
 //
-// Routing order: the top-open family goes to the top-open backend;
-// everything else is offered to the registered mirrors (a mirror takes
-// a rectangle when its reflection is top-open — the transpose mirror
-// takes the whole grounded-right-edge family, O(log) instead of the
-// general backend's Ω((n/B)^ε)); what remains goes to the general
-// backend. Bottom-open, left-open and anti-dominance rectangles never
-// match a mirror: the only dominance-preserving reflection is the
-// transpose, and Theorem 5 proves those shapes are stuck on the general
-// structure at linear space.
+// Routing order: the top-open family goes to the primary; everything
+// else is offered to the mirrors (a mirror takes a rectangle when its
+// reflection is top-open — the transpose mirror takes the whole
+// grounded-right-edge family, O(log) instead of the Theorem 6
+// Ω((n/B)^ε)); what remains goes to the primary. Bottom-open, left-open
+// and anti-dominance rectangles never match a mirror: the only
+// dominance-preserving reflection is the transpose, and Theorem 5
+// proves those shapes are stuck on the general structure at linear
+// space.
 type Planner struct {
-	topOpen  Backend // answers the top-open family; may be nil
-	general  Backend // answers every shape; may be nil
 	mirrors  []*MirrorBackend
-	backends []Backend
+	backends []Backend // the primary, then the mirrors
 }
 
-// RegisterTopOpen installs the backend serving the top-open query family
-// (top-open, dominance, contour, whole-plane).
-func (pl *Planner) RegisterTopOpen(b Backend) {
-	pl.topOpen = b
-	pl.addBackend(b)
-}
-
-// RegisterGeneral installs the backend serving every rectangle shape.
-// It answers the top-open family too when no top-open backend is
-// registered.
-func (pl *Planner) RegisterGeneral(b Backend) {
-	pl.general = b
-	pl.addBackend(b)
-}
-
-// RegisterMirror installs a reflected fast path. Mirrors are consulted
-// in registration order for every rectangle outside the top-open
-// family; the first whose reflection grounds the top edge serves it.
-func (pl *Planner) RegisterMirror(m *MirrorBackend) {
-	pl.mirrors = append(pl.mirrors, m)
-	pl.addBackend(m)
-}
-
-func (pl *Planner) addBackend(b Backend) {
-	for _, have := range pl.backends {
-		if have == b {
-			return
-		}
+// NewPlanner routes over primary, which must answer every rectangle
+// shape, and the mirrored fast paths, consulted in order.
+func NewPlanner(primary Backend, mirrors ...*MirrorBackend) *Planner {
+	pl := &Planner{mirrors: mirrors, backends: []Backend{primary}}
+	for _, m := range mirrors {
+		pl.backends = append(pl.backends, m)
 	}
-	pl.backends = append(pl.backends, b)
+	return pl
 }
 
-// Backends returns the distinct registered backends in registration
-// order. The first is the primary consulted by Delete.
+// Backends returns the primary followed by the mirrors. The primary is
+// the backend Delete consults first.
 func (pl *Planner) Backends() []Backend { return pl.backends }
 
-// Route returns the backend that should answer q: the top-open backend
-// for the top-open family, then the first mirror whose reflection
-// grounds q's top edge, then the general backend. It returns nil when
-// no registered backend can answer q.
+// Route returns the backend that should answer q: the primary for the
+// top-open family, then the first mirror whose reflection grounds q's
+// top edge, then the primary.
 func (pl *Planner) Route(q geom.Rect) Backend {
-	if Classify(q).TopOpenFamily() && pl.topOpen != nil {
-		return pl.topOpen
-	}
-	for _, m := range pl.mirrors {
-		if m.Serves(q) {
-			return m
+	if !Classify(q).TopOpenFamily() {
+		for _, m := range pl.mirrors {
+			if m.Serves(q) {
+				return m
+			}
 		}
 	}
-	return pl.general
+	return pl.backends[0]
 }
 
-// Mirrors returns the registered mirrored fast paths in registration
-// order.
+// Mirrors returns the mirrored fast paths in routing order.
 func (pl *Planner) Mirrors() []*MirrorBackend { return pl.mirrors }
 
 // RangeSkyline answers q through the routed backend.
 func (pl *Planner) RangeSkyline(q geom.Rect) []geom.Point {
-	b := pl.Route(q)
-	if b == nil {
-		panic(fmt.Sprintf("engine: no backend registered for %v (%v)", q, Classify(q)))
-	}
-	return b.RangeSkyline(q)
+	return pl.Route(q).RangeSkyline(q)
 }
 
 // Insert applies p to every backend so they index the same point set.
@@ -248,17 +214,14 @@ func (pl *Planner) Insert(p geom.Point) error {
 	return nil
 }
 
-// Delete removes p, presence-check-first: the primary (first registered)
-// backend is consulted first, and the remaining backends are only
-// mutated after it confirms presence. A miss therefore mutates nothing,
-// and a backend disagreeing with the primary's verdict is reported as
-// corruption. On an error after the primary confirmed presence the
-// reported bool is still true — the point was removed from the primary —
-// so callers can keep their size accounting consistent with it.
+// Delete removes p, presence-check-first: the primary is consulted
+// first, and the mirrors are only mutated after it confirms presence. A
+// miss therefore mutates nothing, and a mirror disagreeing with the
+// primary's verdict is reported as corruption. On an error after the
+// primary confirmed presence the reported bool is still true — the
+// point was removed from the primary — so callers can keep their size
+// accounting consistent with it.
 func (pl *Planner) Delete(p geom.Point) (bool, error) {
-	if len(pl.backends) == 0 {
-		return false, fmt.Errorf("engine: no backends registered")
-	}
 	present, err := pl.backends[0].Delete(p)
 	if err != nil || !present {
 		return present, err
@@ -287,71 +250,40 @@ func (pl *Planner) BatchInsert(pts []geom.Point) error {
 	return nil
 }
 
-// batchDeleteReporter is the optional batched analogue of
-// presence-check-first: a backend that can report WHICH points a batch
-// delete removed, not just how many. Both dynamic primaries implement
-// it (DynTopBackend and shard.Engine).
+// batchDeleteReporter is the batched analogue of presence-check-first:
+// a backend that can report WHICH points a batch delete removed, not
+// just how many. The sharded engine implements it, and every wrapping
+// layer forwards it.
 type batchDeleteReporter interface {
 	BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error)
 }
 
 // BatchDelete removes the batch through every backend's batched path,
 // returning how many points were present and removed. It is
-// presence-check-first, like Delete: the primary resolves the batch
-// first and reports the subset it actually removed, and only that
-// confirmed subset is fanned out to the remaining backends — so a miss
-// mutates nothing anywhere, and concurrent overlapping batches (legal
-// on the sharded layouts, where the primary serializes per shard and
-// resolves every contended point to exactly one caller) fan out
-// disjoint subsets instead of tripping false corruption reports. A
-// secondary backend disagreeing on a confirmed-present point is real
-// corruption; as for Delete, the returned count stays meaningful
-// alongside the error. Every backend runs its batched path — one lock
-// per shard per batch on the sharded engine and the sharded mirror.
-// (A primary without BatchDeleteRemoved — not a configuration core.Open
-// builds — falls back to unfiltered fan-out with count cross-checking,
-// which assumes no concurrent overlapping batches.)
+// presence-check-first, like Delete (see BatchDeleteRemoved).
 func (pl *Planner) BatchDelete(pts []geom.Point) (int, error) {
-	if len(pl.backends) == 0 {
-		return 0, fmt.Errorf("engine: no backends registered")
-	}
 	if len(pl.backends) == 1 {
-		// No secondaries to confirm the subset to; skip materializing
-		// the removed-points slice.
+		// No mirrors to confirm the subset to; skip materializing the
+		// removed-points slice.
 		return pl.backends[0].BatchDelete(pts)
 	}
-	if _, ok := pl.backends[0].(batchDeleteReporter); ok {
-		removed, err := pl.BatchDeleteRemoved(pts)
-		return len(removed), err
-	}
-	removed, err := pl.backends[0].BatchDelete(pts)
-	if err != nil {
-		return removed, err
-	}
-	for _, b := range pl.backends[1:] {
-		got, err := b.BatchDelete(pts)
-		if err != nil {
-			return removed, err
-		}
-		if got != removed {
-			return removed, fmt.Errorf(
-				"engine: backends disagree on batch presence (%d vs %d removed)", got, removed)
-		}
-	}
-	return removed, nil
+	removed, err := pl.BatchDeleteRemoved(pts)
+	return len(removed), err
 }
 
 // BatchDeleteRemoved is BatchDelete reporting the removed points
-// themselves: the primary resolves the batch, the confirmed subset is
-// fanned out to the secondaries, and that subset is returned. A
-// CacheBackend wrapping the planner uses it to invalidate exactly the
-// removed points — a batch of all misses then evicts nothing. It
-// requires a primary that can report its removed subset (every dynamic
-// configuration core.Open builds has one).
+// themselves: the primary resolves the batch and reports the subset it
+// actually removed, and only that confirmed subset is fanned out to the
+// mirrors — so a miss mutates nothing anywhere, and concurrent
+// overlapping batches (the primary serializes per shard and resolves
+// every contended point to exactly one caller) fan out disjoint subsets
+// instead of tripping false corruption reports. A mirror disagreeing on
+// a confirmed-present point is real corruption; the returned subset
+// stays meaningful alongside the error. A CacheBackend wrapping the
+// planner uses the subset to invalidate exactly the removed points — a
+// batch of all misses then evicts nothing. The primary must implement
+// BatchDeleteRemoved.
 func (pl *Planner) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	if len(pl.backends) == 0 {
-		return nil, fmt.Errorf("engine: no backends registered")
-	}
 	rep, ok := pl.backends[0].(batchDeleteReporter)
 	if !ok {
 		return nil, fmt.Errorf("engine: primary backend cannot report removed points")
@@ -373,41 +305,17 @@ func (pl *Planner) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
 	return confirmed, nil
 }
 
-// statsKeyer lets a backend name the storage its Stats method counts,
-// so aggregation can dedup backends sharing a disk (the unsharded
-// layout charges its top-open and 4-sided structures to one disk).
-type statsKeyer interface{ StatsKey() any }
-
-// statsKey returns the dedup key for a backend's I/O counters: its
-// declared storage key when it has one, the backend itself otherwise.
-func statsKey(b Backend) any {
-	if k, ok := b.(statsKeyer); ok {
-		return k.StatsKey()
-	}
-	return b
-}
-
-// Stats aggregates the I/O counters of every registered backend,
-// counting each distinct underlying disk once — backends sharing a disk
-// (the unsharded adapters) do not double-count, and every mirror's
-// private storage is included, so skybench-style measurements through
-// the planner stay truthful.
+// Stats sums the I/O counters of the primary and every mirror. Each
+// owns its own disks, so nothing is counted twice.
 func (pl *Planner) Stats() emio.Stats {
 	var total emio.Stats
-	seen := make(map[any]bool, len(pl.backends))
 	for _, b := range pl.backends {
-		k := statsKey(b)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		total = total.Add(b.Stats())
 	}
 	return total
 }
 
-// ResetStats zeroes the I/O counters of every registered backend
-// (resetting a shared disk twice is harmless).
+// ResetStats zeroes the I/O counters of every backend.
 func (pl *Planner) ResetStats() {
 	for _, b := range pl.backends {
 		b.ResetStats()

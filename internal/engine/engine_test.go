@@ -88,12 +88,16 @@ func (f *fakeBackend) BatchInsert(pts []geom.Point) error {
 	return nil
 }
 func (f *fakeBackend) BatchDelete(pts []geom.Point) (int, error) {
+	removed, err := f.BatchDeleteRemoved(pts)
+	return len(removed), err
+}
+func (f *fakeBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
 	f.batches++
-	removed := 0
+	var removed []geom.Point
 	for _, p := range pts {
 		if f.pts[p] {
 			delete(f.pts, p)
-			removed++
+			removed = append(removed, p)
 		}
 	}
 	return removed, nil
@@ -101,67 +105,62 @@ func (f *fakeBackend) BatchDelete(pts []geom.Point) (int, error) {
 func (f *fakeBackend) Stats() emio.Stats { return emio.Stats{} }
 func (f *fakeBackend) ResetStats()       {}
 
+// fakeMirror wraps a fake in a transpose mirror, the only kind of
+// secondary a planner holds.
+func fakeMirror(t *testing.T, f *fakeBackend) *MirrorBackend {
+	t.Helper()
+	m, err := NewMirror(geom.ReflectSwapXY, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestRoute(t *testing.T) {
-	top, gen := newFake("top"), newFake("gen")
-	var pl Planner
-	pl.RegisterTopOpen(top)
-	pl.RegisterGeneral(gen)
-	if b := pl.Route(geom.TopOpen(1, 9, 3)); b != Backend(top) {
-		t.Fatalf("top-open routed to %v", b)
-	}
-	if b := pl.Route(geom.Dominance(4, 4)); b != Backend(top) {
-		t.Fatalf("dominance routed to %v", b)
-	}
-	if b := pl.Route(geom.LeftOpen(7, 2, 8)); b != Backend(gen) {
-		t.Fatalf("left-open routed to %v", b)
-	}
-	if b := pl.Route(geom.Rect{X1: 1, X2: 9, Y1: 2, Y2: 8}); b != Backend(gen) {
-		t.Fatalf("4-sided routed to %v", b)
+	primary := newFake("primary")
+	m := fakeMirror(t, newFake("mirror"))
+	pl := NewPlanner(primary, m)
+	for _, c := range []struct {
+		q    geom.Rect
+		want Backend
+	}{
+		{geom.TopOpen(1, 9, 3), primary},
+		{geom.Dominance(4, 4), primary},
+		{geom.RightOpen(1, 2, 8), m},
+		{geom.LeftOpen(7, 2, 8), primary},
+		{geom.Rect{X1: 1, X2: 9, Y1: 2, Y2: 8}, primary},
+	} {
+		if b := pl.Route(c.q); b != c.want {
+			t.Fatalf("%v routed to %T, want %T", c.q, b, c.want)
+		}
 	}
 
-	// With only a general backend, everything routes there.
-	var solo Planner
-	solo.RegisterGeneral(gen)
-	if b := solo.Route(geom.TopOpen(1, 9, 3)); b != Backend(gen) {
-		t.Fatalf("solo top-open routed to %v", b)
+	// Without mirrors, everything routes to the primary.
+	solo := NewPlanner(primary)
+	if b := solo.Route(geom.RightOpen(1, 2, 8)); b != Backend(primary) {
+		t.Fatalf("solo right-open routed to %v", b)
 	}
 	if got := len(solo.Backends()); got != 1 {
 		t.Fatalf("solo backends = %d, want 1", got)
 	}
 }
 
-func TestRegisterSameBackendOnce(t *testing.T) {
-	b := newFake("both", geom.Point{X: 1, Y: 1})
-	var pl Planner
-	pl.RegisterTopOpen(b)
-	pl.RegisterGeneral(b)
-	if got := len(pl.Backends()); got != 1 {
-		t.Fatalf("backends = %d, want 1 (same backend registered twice)", got)
-	}
-	// A delete must only reach the backend once.
-	if ok, err := pl.Delete(geom.Point{X: 1, Y: 1}); !ok || err != nil {
-		t.Fatalf("Delete = %t, %v", ok, err)
-	}
-}
-
 func TestDeletePresenceCheckFirst(t *testing.T) {
 	p := geom.Point{X: 5, Y: 5}
 	primary := newFake("primary") // does NOT hold p
-	secondary := newFake("secondary", p)
-	var pl Planner
-	pl.RegisterTopOpen(primary)
-	pl.RegisterGeneral(secondary)
+	secondary := newFake("secondary", geom.ReflectSwapXY.Point(p))
+	pl := NewPlanner(primary, fakeMirror(t, secondary))
 
 	ok, err := pl.Delete(p)
 	if ok || err != nil {
 		t.Fatalf("Delete = %t, %v; want miss without error", ok, err)
 	}
-	// The miss must not have mutated the secondary backend.
-	if !secondary.pts[p] {
-		t.Fatalf("secondary backend mutated on a primary miss")
+	// The miss must not have mutated the mirror.
+	if !secondary.pts[geom.ReflectSwapXY.Point(p)] {
+		t.Fatalf("mirror mutated on a primary miss")
 	}
 	if len(secondary.deletes) != 0 {
-		t.Fatalf("secondary saw %d deletes, want 0", len(secondary.deletes))
+		t.Fatalf("mirror saw %d deletes, want 0", len(secondary.deletes))
 	}
 }
 
@@ -169,9 +168,7 @@ func TestDeleteDisagreementReported(t *testing.T) {
 	p := geom.Point{X: 5, Y: 5}
 	primary := newFake("primary", p)
 	secondary := newFake("secondary") // corrupted: lost p
-	var pl Planner
-	pl.RegisterTopOpen(primary)
-	pl.RegisterGeneral(secondary)
+	pl := NewPlanner(primary, fakeMirror(t, secondary))
 	ok, err := pl.Delete(p)
 	if err == nil || !strings.Contains(err.Error(), "disagree") {
 		t.Fatalf("Delete err = %v, want disagreement", err)
@@ -185,9 +182,7 @@ func TestDeleteDisagreementReported(t *testing.T) {
 
 func TestBatchFanOut(t *testing.T) {
 	a, b := newFake("a"), newFake("b")
-	var pl Planner
-	pl.RegisterTopOpen(a)
-	pl.RegisterGeneral(b)
+	pl := NewPlanner(a, fakeMirror(t, b))
 	pts := []geom.Point{{X: 1, Y: 4}, {X: 2, Y: 3}, {X: 3, Y: 9}}
 	if err := pl.BatchInsert(pts); err != nil {
 		t.Fatal(err)
@@ -208,9 +203,7 @@ func TestBatchDeleteDisagreementReported(t *testing.T) {
 	p := geom.Point{X: 5, Y: 5}
 	a := newFake("a", p)
 	b := newFake("b")
-	var pl Planner
-	pl.RegisterTopOpen(a)
-	pl.RegisterGeneral(b)
+	pl := NewPlanner(a, fakeMirror(t, b))
 	removed, err := pl.BatchDelete([]geom.Point{p})
 	if err == nil || !strings.Contains(err.Error(), "disagree") {
 		t.Fatalf("BatchDelete err = %v, want disagreement", err)
@@ -218,5 +211,73 @@ func TestBatchDeleteDisagreementReported(t *testing.T) {
 	// The primary's removal count survives the error.
 	if removed != 1 {
 		t.Fatalf("BatchDelete removed = %d, want 1 alongside the error", removed)
+	}
+}
+
+// TestSnapshotNotSnapshottable pins the error path of every wrapping
+// layer: a backend without Snapshot support propagates a typed error up
+// through planner, cache, log and queue, and a mid-pin failure releases
+// the views already taken.
+func TestSnapshotNotSnapshottable(t *testing.T) {
+	fake := newFake("plain", geom.Point{X: 1, Y: 1})
+
+	if _, err := NewPlanner(fake).Snapshot(); err == nil {
+		t.Fatal("Planner.Snapshot over a non-snapshottable backend should fail")
+	}
+
+	cache, err := NewCache(fake, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.Snapshot(); err == nil {
+		t.Fatal("CacheBackend.Snapshot should propagate the inner failure")
+	}
+	if _, err := NewLogBackend(fake, &memLog{}, nil).Snapshot(); err == nil {
+		t.Fatal("LogBackend.Snapshot should propagate the inner failure")
+	}
+	q, err := NewAsyncQueue(fake, QueueOptions{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Snapshot(); err == nil {
+		t.Fatal("AsyncQueue.Snapshot should propagate the inner failure")
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Mid-pin failure: the primary pinned before the failing mirror
+	// must be released again.
+	primary := &pinFake{fakeBackend: newFake("primary")}
+	mixed := NewPlanner(primary, fakeMirror(t, fake))
+	if _, err := mixed.Snapshot(); err == nil {
+		t.Fatal("mixed planner Snapshot should fail on the fake mirror")
+	}
+	if primary.pinned != 0 {
+		t.Fatalf("%d views still pinned after a failed pin — partial views leaked", primary.pinned)
+	}
+}
+
+// pinFake is a fake that can pin views, counting the unreleased ones.
+type pinFake struct {
+	*fakeBackend
+	pinned int
+}
+
+func (p *pinFake) Snapshot() (View, error) {
+	p.pinned++
+	return &pinView{p: p}, nil
+}
+
+type pinView struct {
+	p        *pinFake
+	released bool
+}
+
+func (v *pinView) RangeSkyline(geom.Rect) []geom.Point { return nil }
+func (v *pinView) Release() {
+	if !v.released {
+		v.released = true
+		v.p.pinned--
 	}
 }

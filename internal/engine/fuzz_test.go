@@ -1,15 +1,12 @@
-package engine
+package engine_test
 
 import (
 	"testing"
 
-	"repro/internal/dyntop"
-	"repro/internal/emio"
-	"repro/internal/foursided"
+	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/shard"
 )
-
-var cacheCfg = emio.Config{B: 32, M: 32 * 32}
 
 // FuzzCanonicalQuery fuzzes the shape classifier and the cache-key
 // canonicalization over arbitrary rectangles. The invariants:
@@ -17,7 +14,7 @@ var cacheCfg = emio.Config{B: 32, M: 32 * 32}
 //   - Classify is total and agrees with IsTopOpen on the top-open
 //     family (the planner's routing predicate);
 //   - CanonicalQuery is idempotent;
-//   - q and CanonicalQuery(q) contain exactly the same points and have
+//   - q and engine.CanonicalQuery(q) contain exactly the same points and have
 //     byte-identical range skylines — the property that makes the
 //     canonical rectangle a sound cache key.
 //
@@ -44,11 +41,11 @@ func FuzzCanonicalQuery(f *testing.F) {
 	add(geom.Rect{X1: 2, X2: 2, Y1: 2, Y2: 2}) // degenerate point
 	f.Fuzz(func(t *testing.T, x1, x2, y1, y2 geom.Coord) {
 		q := geom.Rect{X1: x1, X2: x2, Y1: y1, Y2: y2}
-		if got, want := Classify(q).TopOpenFamily(), q.IsTopOpen(); got != want {
-			t.Fatalf("%v: Classify(q).TopOpenFamily() = %t, IsTopOpen = %t", q, got, want)
+		if got, want := engine.Classify(q).TopOpenFamily(), q.IsTopOpen(); got != want {
+			t.Fatalf("%v: engine.Classify(q).TopOpenFamily() = %t, IsTopOpen = %t", q, got, want)
 		}
-		c := CanonicalQuery(q)
-		if again := CanonicalQuery(c); again != c {
+		c := engine.CanonicalQuery(q)
+		if again := engine.CanonicalQuery(c); again != c {
 			t.Fatalf("%v: canonicalization not idempotent: %v -> %v", q, c, again)
 		}
 		if (q.X1 > q.X2 || q.Y1 > q.Y2) != (c == geom.Rect{X1: 0, X2: -1, Y1: 0, Y2: -1}) {
@@ -142,16 +139,15 @@ func FuzzAsyncQueue(f *testing.F) {
 		geom.SortByX(base)
 		pool := all[nBase:]
 
-		build := func() *Planner {
-			pl := new(Planner)
-			d := emio.NewDisk(cacheCfg)
-			pl.RegisterTopOpen(NewDynTop(dyntop.BuildSABE(d, 0.5, base), d))
-			d4 := emio.NewDisk(cacheCfg)
-			pl.RegisterGeneral(NewFourSided(foursided.Build(d4, 0.5, base), d4))
-			return pl
+		build := func() *engine.Planner {
+			eng, err := shard.New(shard.Options{Machine: cacheCfg, Dynamic: true}, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return engine.NewPlanner(eng)
 		}
 		syncPl := build()
-		q, err := NewAsyncQueue(build(), QueueOptions{FlushPoints: 4, FlushInterval: -1})
+		q, err := engine.NewAsyncQueue(build(), engine.QueueOptions{FlushPoints: 4, FlushInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

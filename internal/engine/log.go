@@ -252,10 +252,6 @@ func (lb *LogBackend) Stats() emio.Stats { return lb.inner.Stats() }
 // ResetStats forwards to the wrapped backend.
 func (lb *LogBackend) ResetStats() { lb.inner.ResetStats() }
 
-// StatsKey dedups stats through to the wrapped backend, like the
-// cache and the queue.
-func (lb *LogBackend) StatsKey() any { return statsKey(lb.inner) }
-
 // assert interface satisfaction, including the removed-subset path the
 // queue's drains prefer.
 var _ Backend = (*LogBackend)(nil)

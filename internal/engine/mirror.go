@@ -92,24 +92,8 @@ func (m *MirrorBackend) BatchDelete(pts []geom.Point) (int, error) {
 	return m.inner.BatchDelete(m.ref.Pts(pts))
 }
 
-// BatchDeleteRemoved forwards the inner backend's removed-subset report
-// (when it has one), mapping the subset back into the original frame,
-// so a mirror can serve as a presence-confirming primary too.
-func (m *MirrorBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	rep, ok := m.inner.(batchDeleteReporter)
-	if !ok {
-		return nil, fmt.Errorf("engine: mirror's inner backend cannot report removed points")
-	}
-	removed, err := rep.BatchDeleteRemoved(m.ref.Pts(pts))
-	return m.ref.Inverse().Pts(removed), err
-}
-
 // Stats returns the mirror's I/O counters (the inner backend's disks).
 func (m *MirrorBackend) Stats() emio.Stats { return m.inner.Stats() }
 
 // ResetStats zeroes the mirror's I/O counters.
 func (m *MirrorBackend) ResetStats() { m.inner.ResetStats() }
-
-// StatsKey dedups stats through to the inner backend's disk, so a
-// mirror never double-counts with a backend it shares storage with.
-func (m *MirrorBackend) StatsKey() any { return statsKey(m.inner) }

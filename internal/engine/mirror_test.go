@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
@@ -6,29 +6,40 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dyntop"
 	"repro/internal/emio"
-	"repro/internal/extsort"
+	"repro/internal/engine"
 	"repro/internal/foursided"
 	"repro/internal/geom"
-	"repro/internal/topopen"
+	"repro/internal/shard"
 )
 
 var mirrorCfg = emio.Config{B: 32, M: 32 * 32}
 
-// buildMirror returns a transpose mirror over pts: a dyntop tree on its
-// own disk, indexing the reflected point set.
-func buildMirror(t *testing.T, pts []geom.Point) (*MirrorBackend, *emio.Disk) {
+// oneShard builds a one-shard engine over x-sorted pts: the single-disk
+// configuration of the paper's structures.
+func oneShard(t *testing.T, pts []geom.Point, opts shard.Options) *shard.Engine {
+	t.Helper()
+	opts.Machine, opts.Shards = mirrorCfg, 1
+	e, err := shard.New(opts, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// buildMirror returns a transpose mirror over pts: a one-shard dynamic
+// TopOnly engine indexing the reflected point set.
+func buildMirror(t *testing.T, pts []geom.Point) (*engine.MirrorBackend, *shard.Engine) {
 	t.Helper()
 	ref := geom.ReflectSwapXY
 	mpts := ref.Pts(pts)
 	geom.SortByX(mpts)
-	d := emio.NewDisk(mirrorCfg)
-	m, err := NewMirror(ref, NewDynTop(dyntop.BuildSABE(d, 0.5, mpts), d))
+	inner := oneShard(t, mpts, shard.Options{Dynamic: true, TopOnly: true})
+	m, err := engine.NewMirror(ref, inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, d
+	return m, inner
 }
 
 // TestNewMirrorRejectsUnsoundReflections pins the dominance gate: the
@@ -37,14 +48,13 @@ func buildMirror(t *testing.T, pts []geom.Point) (*MirrorBackend, *emio.Disk) {
 // NewMirror refuses to build them (Theorem 5 says any correct structure
 // for those shapes pays Ω((n/B)^ε) at linear space).
 func TestNewMirrorRejectsUnsoundReflections(t *testing.T) {
-	d := emio.NewDisk(mirrorCfg)
-	inner := NewDynTop(dyntop.BuildSABE(d, 0.5, nil), d)
+	inner := oneShard(t, nil, shard.Options{Dynamic: true, TopOnly: true})
 	for _, ref := range []geom.Reflection{geom.ReflectNegY, geom.ReflectAntiTranspose} {
-		if _, err := NewMirror(ref, inner); err == nil {
+		if _, err := engine.NewMirror(ref, inner); err == nil {
 			t.Fatalf("NewMirror(%v) should refuse a dominance-breaking reflection", ref)
 		}
 	}
-	if _, err := NewMirror(geom.ReflectSwapXY, inner); err != nil {
+	if _, err := engine.NewMirror(geom.ReflectSwapXY, inner); err != nil {
 		t.Fatalf("NewMirror(swap-xy): %v", err)
 	}
 }
@@ -149,39 +159,34 @@ func TestMirrorAnswersGroundedRightFamily(t *testing.T) {
 
 // TestPlannerMirrorRouting pins the routing table: for every Figure-2
 // shape, the planner serves it from the asymptotically best backend —
-// top-open family native, grounded-right family via the mirror,
-// everything else via the general (Theorem 6) backend.
+// top-open family on the primary's top-open structure, grounded-right
+// family via the mirror, everything else on the primary's Theorem 6
+// structure.
 func TestPlannerMirrorRouting(t *testing.T) {
 	pts := geom.GenUniform(100, 100*16, 9)
 	geom.SortByX(pts)
-	d := emio.NewDisk(mirrorCfg)
-	top := NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d)
-	four := NewFourSided(foursided.Build(d, 0.5, pts), d)
+	primary := oneShard(t, pts, shard.Options{Dynamic: true})
 	m, _ := buildMirror(t, pts)
-
-	var pl Planner
-	pl.RegisterTopOpen(top)
-	pl.RegisterMirror(m)
-	pl.RegisterGeneral(four)
+	pl := engine.NewPlanner(primary, m)
 
 	ni, pi := geom.NegInf, geom.PosInf
 	cases := []struct {
 		name string
 		q    geom.Rect
-		want Backend
+		want engine.Backend
 	}{
-		{"top-open", geom.TopOpen(1, 9, 3), top},
-		{"dominance", geom.Dominance(4, 4), top},
-		{"contour", geom.Contour(6), top},
-		{"whole-plane", geom.Rect{X1: ni, X2: pi, Y1: ni, Y2: pi}, top},
+		{"top-open", geom.TopOpen(1, 9, 3), primary},
+		{"dominance", geom.Dominance(4, 4), primary},
+		{"contour", geom.Contour(6), primary},
+		{"whole-plane", geom.Rect{X1: ni, X2: pi, Y1: ni, Y2: pi}, primary},
 		{"right-open", geom.RightOpen(1, 2, 8), m},
 		{"lower-right quadrant", geom.Rect{X1: 1, X2: pi, Y1: ni, Y2: 8}, m},
 		{"horizontal band", geom.Rect{X1: ni, X2: pi, Y1: 2, Y2: 8}, m},
 		{"horizontal contour", geom.Rect{X1: ni, X2: pi, Y1: ni, Y2: 8}, m},
-		{"4-sided", geom.Rect{X1: 1, X2: 9, Y1: 2, Y2: 8}, four},
-		{"bottom-open", geom.BottomOpen(1, 9, 5), four},
-		{"left-open", geom.LeftOpen(7, 2, 8), four},
-		{"anti-dominance", geom.AntiDominance(4, 4), four},
+		{"4-sided", geom.Rect{X1: 1, X2: 9, Y1: 2, Y2: 8}, primary},
+		{"bottom-open", geom.BottomOpen(1, 9, 5), primary},
+		{"left-open", geom.LeftOpen(7, 2, 8), primary},
+		{"anti-dominance", geom.AntiDominance(4, 4), primary},
 	}
 	for _, c := range cases {
 		if got := pl.Route(c.q); got != c.want {
@@ -193,51 +198,33 @@ func TestPlannerMirrorRouting(t *testing.T) {
 	}
 }
 
-// TestPlannerStatsAggregation pins the Stats/ResetStats contract: every
-// distinct disk is counted exactly once — the unsharded adapters share
-// one disk and must not double-count, while a mirror's private disk
-// must be included — and ResetStats zeroes them all.
+// TestPlannerStatsAggregation pins the Stats/ResetStats contract: the
+// total is the exact sum of the primary's and the mirror's disks, and
+// ResetStats zeroes them all.
 func TestPlannerStatsAggregation(t *testing.T) {
 	pts := geom.GenUniform(400, 400*16, 11)
 	geom.SortByX(pts)
-	shared := emio.NewDisk(mirrorCfg)
-	f := extsort.FromSlice(shared, 2, pts)
-	top := NewTopOpen(topopen.Build(shared, f), shared)
-	f.Free()
-	four := NewFourSided(foursided.Build(shared, 0.5, pts), shared)
-	m, mirrorDisk := buildMirror(t, pts)
-
-	var pl Planner
-	pl.RegisterTopOpen(top)
-	pl.RegisterMirror(m)
-	pl.RegisterGeneral(four)
+	primary := oneShard(t, pts, shard.Options{})
+	m, mirror := buildMirror(t, pts)
+	pl := engine.NewPlanner(primary, m)
 
 	pl.ResetStats()
 	if got := pl.Stats(); got.IOs() != 0 {
 		t.Fatalf("after ResetStats, Stats().IOs() = %d, want 0", got.IOs())
 	}
-	// Touch all three paths: top-open (shared disk), right-open
-	// (mirror disk), 4-sided (shared disk).
+	// Touch all three paths: top-open (primary), right-open (mirror),
+	// 4-sided (primary).
 	pl.RangeSkyline(geom.TopOpen(0, 400*16, 0))
 	pl.RangeSkyline(geom.RightOpen(0, 0, 400*16))
 	pl.RangeSkyline(geom.Rect{X1: 10, X2: 4000, Y1: 10, Y2: 4000})
 
-	want := shared.Stats().Add(mirrorDisk.Stats())
+	want := primary.Stats().Add(mirror.Stats())
 	if got := pl.Stats(); got != want {
-		t.Fatalf("Stats() = %+v, want shared+mirror = %+v", got, want)
+		t.Fatalf("Stats() = %+v, want primary+mirror = %+v", got, want)
 	}
-	if shared.Stats().IOs() == 0 || mirrorDisk.Stats().IOs() == 0 {
-		t.Fatalf("expected I/Os on both disks (shared %d, mirror %d)",
-			shared.Stats().IOs(), mirrorDisk.Stats().IOs())
-	}
-	// The naive per-backend sum double-counts the shared disk; Stats()
-	// must be strictly below it.
-	var naive uint64
-	for _, b := range pl.Backends() {
-		naive += b.Stats().IOs()
-	}
-	if got := pl.Stats().IOs(); got >= naive {
-		t.Fatalf("Stats().IOs() = %d should dedup below naive sum %d", got, naive)
+	if primary.Stats().IOs() == 0 || mirror.Stats().IOs() == 0 {
+		t.Fatalf("expected I/Os on both engines (primary %d, mirror %d)",
+			primary.Stats().IOs(), mirror.Stats().IOs())
 	}
 	pl.ResetStats()
 	if got := pl.Stats(); got.IOs() != 0 {
@@ -252,14 +239,8 @@ func TestPlannerStatsAggregation(t *testing.T) {
 func TestMirrorBatchDeleteAgreement(t *testing.T) {
 	pts := geom.GenUniform(300, 300*16, 13)
 	geom.SortByX(pts)
-	d := emio.NewDisk(mirrorCfg)
-	top := NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d)
-	four := NewFourSided(foursided.Build(d, 0.5, pts), d)
 	m, _ := buildMirror(t, pts)
-	var pl Planner
-	pl.RegisterTopOpen(top)
-	pl.RegisterMirror(m)
-	pl.RegisterGeneral(four)
+	pl := engine.NewPlanner(oneShard(t, pts, shard.Options{Dynamic: true}), m)
 
 	rng := rand.New(rand.NewSource(17))
 	perm := rng.Perm(len(pts))[:100]

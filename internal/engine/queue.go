@@ -820,7 +820,3 @@ func (q *AsyncQueue) Stats() emio.Stats { return q.inner.Stats() }
 // are cumulative and unaffected (they are operation totals, not
 // measurement state).
 func (q *AsyncQueue) ResetStats() { q.inner.ResetStats() }
-
-// StatsKey dedups stats through to the wrapped backend, like the cache
-// and the mirrors.
-func (q *AsyncQueue) StatsKey() any { return statsKey(q.inner) }

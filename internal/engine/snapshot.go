@@ -11,18 +11,18 @@
 //	                       construction, so caching them buys nothing
 //	                       and sharing entries with the live index
 //	                       would serve post-pin answers)
-//	Planner.Snapshot     — pins every registered backend once and
+//	Planner.Snapshot     — pins the primary and every mirror once and
 //	                       freezes the routing table into a PlanView
 //	MirrorBackend        — pins the inner (reflected) backend and keeps
 //	                       rewriting rectangles at query time
-//	adapters             — open an emio retention, then capture the
-//	                       structure's immutable root handle
+//	shard.Engine         — opens an emio retention per shard disk, then
+//	                       captures each shard's immutable root handles
 //
 // The retention-before-capture order is load-bearing: once RetainFrees
 // returns, no span the captured roots reference can be reclaimed until
-// the view is released, and captures are performed by the caller while
-// it still holds whatever lock serializes writers (core's engineMu,
-// a shard's mutex), so no free can slip between the two.
+// the view is released, and the shard engine captures while it holds
+// the shard mutexes that serialize writers, so no free can slip between
+// the two.
 //
 // Copy-on-pin vs epoch-retired roots: both were candidates for the
 // 4-sided secondaries. Copy-on-pin (what dyntop.Snapshot and
@@ -38,7 +38,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
@@ -65,61 +64,6 @@ type Snapshottable interface {
 // errNotSnapshottable reports a backend that cannot pin a view.
 func errNotSnapshottable(b Backend) error {
 	return fmt.Errorf("engine: backend %T does not support snapshots", b)
-}
-
-// retainedView pairs a pinned answerer with the retention holding its
-// spans alive. query is the shape-checked delegate.
-type retainedView struct {
-	query func(q geom.Rect) []geom.Point
-	ret   *emio.Retention
-}
-
-func (v *retainedView) RangeSkyline(q geom.Rect) []geom.Point { return v.query(q) }
-func (v *retainedView) Release()                              { v.ret.Release() }
-
-// Snapshot pins the static Theorem 1 index: the handle is the index
-// itself (it never mutates), and the retention guards against a
-// concurrent Free/Close retiring its spans mid-query.
-func (b *TopOpenBackend) Snapshot() (View, error) {
-	ret := b.disk.RetainFrees()
-	h := b.ix.Snapshot()
-	return &retainedView{
-		query: func(q geom.Rect) []geom.Point {
-			if !q.IsTopOpen() {
-				panic("engine: topopen snapshot requires a top-open rectangle")
-			}
-			return h.Query(q.X1, q.X2, q.Y1)
-		},
-		ret: ret,
-	}, nil
-}
-
-// Snapshot pins the Theorem 4 tree: retention first, then the O(n/B)
-// host-pointer root clone (zero simulated I/Os). The caller must hold
-// whatever lock serializes writers on this tree across the call.
-func (b *DynTopBackend) Snapshot() (View, error) {
-	ret := b.disk.RetainFrees()
-	h := b.tree.Snapshot()
-	return &retainedView{
-		query: func(q geom.Rect) []geom.Point {
-			if !q.IsTopOpen() {
-				panic("engine: dyntop snapshot requires a top-open rectangle")
-			}
-			return h.Query(q.X1, q.X2, q.Y1)
-		},
-		ret: ret,
-	}, nil
-}
-
-// Snapshot pins the Theorem 6 structure, secondaries included (each
-// internal node's dyntop is pinned through its own Snapshot).
-func (b *FourSidedBackend) Snapshot() (View, error) {
-	ret := b.disk.RetainFrees()
-	h := b.ix.Snapshot()
-	return &retainedView{
-		query: func(q geom.Rect) []geom.Point { return h.Query(q) },
-		ret:   ret,
-	}, nil
 }
 
 // MirrorView serves queries whose reflection is top-open from a pinned
@@ -203,24 +147,19 @@ func (q *AsyncQueue) Snapshot() (View, error) {
 }
 
 // PlanView is a frozen Planner: the same routing table (top-open
-// family → top-open view, reflected shapes → mirror views, rest →
-// general view) over pinned views instead of live backends.
+// family → primary view, reflected shapes → mirror views, rest →
+// primary view) over pinned views instead of live backends.
 type PlanView struct {
-	topOpen View
-	general View
 	mirrors []*MirrorView
-	views   []View // distinct views, for Release
+	views   []View // the primary's view, then the mirrors'
 }
 
-// Snapshot pins every registered backend once — a backend registered
-// for several roles (the sharded engine serves both families) is
-// pinned a single time, so the roles answer from the SAME point in
-// time — and freezes the routing table. On any failure the views
-// already pinned are released. The returned View is a *PlanView; the
-// interface return type is what lets the wrapping layers (queue, WAL,
-// cache) pass Snapshot calls through to the planner uniformly.
+// Snapshot pins the primary and every mirror once and freezes the
+// routing table. On any failure the views already pinned are released.
+// The returned View is a *PlanView; the interface return type is what
+// lets the wrapping layers (queue, WAL, cache) pass Snapshot calls
+// through to the planner uniformly.
 func (pl *Planner) Snapshot() (View, error) {
-	views := make(map[Backend]View, len(pl.backends))
 	pv := &PlanView{}
 	for _, b := range pl.backends {
 		s, ok := b.(Snapshottable)
@@ -233,43 +172,31 @@ func (pl *Planner) Snapshot() (View, error) {
 			pv.Release()
 			return nil, err
 		}
-		views[b] = v
 		pv.views = append(pv.views, v)
 	}
-	if pl.topOpen != nil {
-		pv.topOpen = views[pl.topOpen]
-	}
-	if pl.general != nil {
-		pv.general = views[pl.general]
-	}
-	for _, m := range pl.mirrors {
-		pv.mirrors = append(pv.mirrors, views[m].(*MirrorView))
+	for _, v := range pv.views[1:] {
+		pv.mirrors = append(pv.mirrors, v.(*MirrorView))
 	}
 	return pv, nil
 }
 
 // Route returns the view that answers q, mirroring Planner.Route:
-// top-open family to the top-open view, then the first mirror whose
-// reflection grounds q's top edge, then the general view.
+// top-open family to the primary view, then the first mirror whose
+// reflection grounds q's top edge, then the primary view.
 func (pv *PlanView) Route(q geom.Rect) View {
-	if Classify(q).TopOpenFamily() && pv.topOpen != nil {
-		return pv.topOpen
-	}
-	for _, m := range pv.mirrors {
-		if m.Serves(q) {
-			return m
+	if !Classify(q).TopOpenFamily() {
+		for _, m := range pv.mirrors {
+			if m.Serves(q) {
+				return m
+			}
 		}
 	}
-	return pv.general
+	return pv.views[0]
 }
 
 // RangeSkyline answers q through the routed view.
 func (pv *PlanView) RangeSkyline(q geom.Rect) []geom.Point {
-	v := pv.Route(q)
-	if v == nil {
-		panic(fmt.Sprintf("engine: no view pinned for %v (%v)", q, Classify(q)))
-	}
-	return v.RangeSkyline(q)
+	return pv.Route(q).RangeSkyline(q)
 }
 
 // Release unpins every view. Idempotent (each underlying retention
@@ -280,39 +207,36 @@ func (pv *PlanView) Release() {
 	}
 }
 
-// retirementCounter is what a storage unit (an emio.Disk, or the
-// sharded engine summing its shard disks) reports about snapshot
-// retirement: blocks freed by the live index but deferred for open
-// retentions, and the number of open retentions.
+// retirementCounter is what a storage unit (the sharded engine summing
+// its shard disks) reports about snapshot retirement: blocks freed by
+// the live index but deferred for open retentions, and the number of
+// open retentions.
 type retirementCounter interface {
 	DeferredBlocks() int
 	Retained() int
 }
 
-// DeferredBlocks sums the deferred-free queues of every distinct
-// storage unit behind the planner — blocks the live index has retired
-// that are held alive for open snapshots. Zero once every snapshot is
-// released: the no-leak invariant of the generation accounting.
+// DeferredBlocks sums the deferred-free queues of the primary's and
+// every mirror's storage — blocks the live index has retired that are
+// held alive for open snapshots. Zero once every snapshot is released:
+// the no-leak invariant of the generation accounting.
 func (pl *Planner) DeferredBlocks() int {
-	return pl.sumRetirement(func(rc retirementCounter) int { return rc.DeferredBlocks() })
+	return pl.sumRetirement(retirementCounter.DeferredBlocks)
 }
 
-// Retained sums the open retentions of every distinct storage unit
-// behind the planner (one per unit per unreleased snapshot).
+// Retained sums the open retentions of the primary's and every
+// mirror's storage (one per storage unit per unreleased snapshot).
 func (pl *Planner) Retained() int {
-	return pl.sumRetirement(func(rc retirementCounter) int { return rc.Retained() })
+	return pl.sumRetirement(retirementCounter.Retained)
 }
 
 func (pl *Planner) sumRetirement(get func(retirementCounter) int) int {
 	total := 0
-	seen := make(map[any]bool, len(pl.backends))
 	for _, b := range pl.backends {
-		k := statsKey(b)
-		if seen[k] {
-			continue
+		if m, ok := b.(*MirrorBackend); ok {
+			b = m.Inner()
 		}
-		seen[k] = true
-		if rc, ok := k.(retirementCounter); ok {
+		if rc, ok := b.(retirementCounter); ok {
 			total += get(rc)
 		}
 	}
@@ -321,9 +245,6 @@ func (pl *Planner) sumRetirement(get func(retirementCounter) int) int {
 
 // assert the stack's layers all thread snapshots.
 var (
-	_ Snapshottable = (*TopOpenBackend)(nil)
-	_ Snapshottable = (*DynTopBackend)(nil)
-	_ Snapshottable = (*FourSidedBackend)(nil)
 	_ Snapshottable = (*MirrorBackend)(nil)
 	_ Snapshottable = (*CacheBackend)(nil)
 	_ Snapshottable = (*LogBackend)(nil)

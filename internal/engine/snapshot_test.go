@@ -1,40 +1,28 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/dyntop"
-	"repro/internal/emio"
-	"repro/internal/extsort"
-	"repro/internal/foursided"
+	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/topopen"
+	"repro/internal/shard"
 )
 
-// buildStaticTopOpen builds a Theorem 1 backend over pts on its own disk.
-func buildStaticTopOpen(t *testing.T, pts []geom.Point) (*TopOpenBackend, *emio.Disk) {
+// buildSnapPlanner assembles the routing table core.Open builds in
+// dynamic mode: a one-shard primary carrying both families and a
+// transpose mirror on its own disk.
+func buildSnapPlanner(t *testing.T, pts []geom.Point) *engine.Planner {
 	t.Helper()
-	d := emio.NewDisk(mirrorCfg)
-	f := extsort.FromSlice(d, 2, pts)
-	return NewTopOpen(topopen.Build(d, f), d), d
+	m, _ := buildMirror(t, pts)
+	return engine.NewPlanner(oneShard(t, pts, shard.Options{Dynamic: true}), m)
 }
 
-// buildSnapPlanner assembles the full unsharded routing table over one
-// shared primary disk — dyntop for the top-open family, foursided for
-// the rest, a transpose mirror on its own disk — mirroring what
-// core.Open builds in dynamic mode.
-func buildSnapPlanner(t *testing.T, pts []geom.Point) (*Planner, *emio.Disk) {
-	t.Helper()
-	d := emio.NewDisk(mirrorCfg)
-	pl := &Planner{}
-	pl.RegisterTopOpen(NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d))
-	pl.RegisterGeneral(NewFourSided(foursided.Build(d, 0.5, pts), d))
-	m, _ := buildMirror(t, pts)
-	pl.RegisterMirror(m)
-	return pl, d
-}
+// nopLog is an UpdateLog that accepts every batch.
+type nopLog struct{}
+
+func (nopLog) LogBatch(dels, inss []geom.Point) error { return nil }
 
 // snapShapes is one query per Figure-2 shape over the given span, so a
 // pinned view exercises every routing arm.
@@ -64,13 +52,13 @@ func TestSnapshotStackFrozen(t *testing.T) {
 	pool := all[n:]
 	geom.SortByX(pts)
 
-	pl, _ := buildSnapPlanner(t, pts)
-	cache, err := NewCache(pl, 64)
+	pl := buildSnapPlanner(t, pts)
+	cache, err := engine.NewCache(pl, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := NewLogBackend(cache, &memLog{}, pts)
-	q, err := NewAsyncQueue(lb, QueueOptions{FlushPoints: 1 << 20, FlushInterval: -1})
+	lb := engine.NewLogBackend(cache, nopLog{}, pts)
+	q, err := engine.NewAsyncQueue(lb, engine.QueueOptions{FlushPoints: 1 << 20, FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,22 +147,22 @@ func diffPoints(pts []geom.Point, victim geom.Point) []geom.Point {
 	return pts
 }
 
-// TestSnapshotStaticTopOpen pins the static Theorem 1 backend: the
-// handle is the immutable index itself, and the retention opens and
-// closes around it.
+// TestSnapshotStaticTopOpen pins a static top-open engine (the
+// Theorem 1 index, as in a static mirror): the handle is the immutable
+// index itself, and the retention opens and closes around it.
 func TestSnapshotStaticTopOpen(t *testing.T) {
 	const n = 180
 	span := geom.Coord(n * 16)
 	pts := geom.GenUniform(n, span, 4500)
 	geom.SortByX(pts)
-	top, d := buildStaticTopOpen(t, pts)
+	top := oneShard(t, pts, shard.Options{TopOnly: true})
 
 	view, err := top.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Retained() != 1 {
-		t.Fatalf("Retained() = %d, want 1", d.Retained())
+	if top.Retained() != 1 {
+		t.Fatalf("Retained() = %d, want 1", top.Retained())
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
@@ -188,55 +176,49 @@ func TestSnapshotStaticTopOpen(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("4-sided rect on a topopen view should panic")
+				t.Fatal("4-sided rect on a top-only view should panic")
 			}
 		}()
 		view.RangeSkyline(geom.Rect{X1: 0, X2: span, Y1: 0, Y2: span / 2})
 	}()
 	view.Release()
-	if d.Retained() != 0 {
-		t.Fatalf("Retained() = %d after release", d.Retained())
+	if top.Retained() != 0 {
+		t.Fatalf("Retained() = %d after release", top.Retained())
 	}
 }
 
 // TestPlanViewRouting freezes a full routing table and asserts the
 // PlanView routes each shape the same way the live planner does:
-// top-open family to the pinned top-open view, grounded-right-edge
-// rectangles to the pinned mirror, the rest to the pinned general view.
+// top-open family to the pinned primary, grounded-right-edge rectangles
+// to the pinned mirror, the rest to the pinned primary.
 func TestPlanViewRouting(t *testing.T) {
 	const n = 150
 	span := geom.Coord(n * 16)
 	pts := geom.GenUniform(n, span, 4600)
 	geom.SortByX(pts)
-	pl, _ := buildSnapPlanner(t, pts)
+	pl := buildSnapPlanner(t, pts)
 
 	view, err := pl.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer view.Release()
-	pv := view.(*PlanView)
+	pv := view.(*engine.PlanView)
 
 	for _, tc := range []struct {
 		q    geom.Rect
 		want string
 	}{
-		{geom.TopOpen(0, span, span/2), "topopen"},
-		{geom.Dominance(span/2, span/2), "topopen"},
+		{geom.TopOpen(0, span, span/2), "primary"},
+		{geom.Dominance(span/2, span/2), "primary"},
 		{geom.RightOpen(span/2, span/8, span/2), "mirror"},
 		{geom.Rect{X1: span / 4, X2: span / 2, Y1: span / 8, Y2: span / 2}, "mirror"},
-		{geom.LeftOpen(span/2, span/8, span/2), "general"},
-		{geom.BottomOpen(0, span, span/2), "general"},
-		{geom.AntiDominance(span/2, span/2), "general"},
+		{geom.LeftOpen(span/2, span/8, span/2), "primary"},
+		{geom.BottomOpen(0, span, span/2), "primary"},
+		{geom.AntiDominance(span/2, span/2), "primary"},
 	} {
-		routed := pv.Route(tc.q)
-		var got string
-		switch {
-		case routed == pv.topOpen:
-			got = "topopen"
-		case routed == pv.general:
-			got = "general"
-		default:
+		got := "primary"
+		if _, isMirror := pv.Route(tc.q).(*engine.MirrorView); isMirror {
 			got = "mirror"
 		}
 		want := tc.want
@@ -244,8 +226,8 @@ func TestPlanViewRouting(t *testing.T) {
 			// A bounded 4-sided rectangle only routes to the mirror when
 			// its reflection is top-open; mirror routing must agree with
 			// the live planner either way.
-			if _, isMirror := pl.Route(tc.q).(*MirrorBackend); !isMirror {
-				want = "general"
+			if _, isMirror := pl.Route(tc.q).(*engine.MirrorBackend); !isMirror {
+				want = "primary"
 			}
 		}
 		if got != want {
@@ -255,56 +237,5 @@ func TestPlanViewRouting(t *testing.T) {
 		if lgot != lwant {
 			t.Fatalf("PlanView %v = %s, oracle %s", tc.q, lgot, lwant)
 		}
-	}
-}
-
-// TestSnapshotNotSnapshottable pins the error path of every wrapping
-// layer: a backend without Snapshot support propagates a typed error up
-// through planner, cache, log and queue, and a mid-pin failure releases
-// the views already taken.
-func TestSnapshotNotSnapshottable(t *testing.T) {
-	fake := newFake("plain", geom.Point{X: 1, Y: 1})
-
-	pl := &Planner{}
-	pl.RegisterGeneral(fake)
-	if _, err := pl.Snapshot(); err == nil {
-		t.Fatal("Planner.Snapshot over a non-snapshottable backend should fail")
-	}
-
-	cache, err := NewCache(fake, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Snapshot(); err == nil {
-		t.Fatal("CacheBackend.Snapshot should propagate the inner failure")
-	}
-	if _, err := NewLogBackend(fake, &memLog{}, nil).Snapshot(); err == nil {
-		t.Fatal("LogBackend.Snapshot should propagate the inner failure")
-	}
-	q, err := NewAsyncQueue(fake, QueueOptions{FlushInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Snapshot(); err == nil {
-		t.Fatal("AsyncQueue.Snapshot should propagate the inner failure")
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mid-pin failure: the snapshottable backend pinned before the
-	// failing one must be released again.
-	pts := geom.GenUniform(50, 800, 4700)
-	geom.SortByX(pts)
-	d := emio.NewDisk(mirrorCfg)
-	dyn := NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d)
-	mixed := &Planner{}
-	mixed.RegisterTopOpen(dyn)
-	mixed.RegisterGeneral(fake)
-	if _, err := mixed.Snapshot(); err == nil {
-		t.Fatal("mixed planner Snapshot should fail on the fake backend")
-	}
-	if got := d.Retained(); got != 0 {
-		t.Fatalf("Retained() = %d after failed pin — partial views leaked", got)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -63,7 +64,9 @@ type NamespaceConfig struct {
 	// The default is dynamic — the wire is a write path, so the
 	// polarity is inverted from core.Options.Dynamic.
 	Static bool `json:"static,omitempty"`
-	// Shards/Workers select the sharded concurrent engine.
+	// Shards/Workers size the sharded engine; omitted, the namespace
+	// runs one shard. Every configuration is safe under concurrent
+	// requests.
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// Mirrors maintains the transposed fast path for the
@@ -217,6 +220,9 @@ type Server struct {
 	// stopJanitor ends the snapshot-TTL sweeper.
 	stopJanitor chan struct{}
 	janitorWG   sync.WaitGroup
+
+	// panics counts handler panics turned into 500s (see recoverPanics).
+	panics atomic.Uint64
 }
 
 // namespace is one tenant: a lazily opened DB plus the serving-tier
@@ -426,7 +432,29 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/{ns}/stats", s.withNS(handleStats))
 	mux.HandleFunc("POST /v1/{ns}/snapshot", s.withNS(handleSnapshotPin))
 	mux.HandleFunc("DELETE /v1/{ns}/snapshot/{id}", s.withNS(handleSnapshotClose))
-	return mux
+	return s.recoverPanics(mux)
+}
+
+// recoverPanics turns a panic in next into a typed 500 ("panic" in the
+// Status table) and counts it on /stats, so one bad request cannot take
+// the connection down with only net/http's log line to show for it.
+// http.ErrAbortHandler is re-raised: it is net/http's own signal to
+// abort the response.
+func (s *Server) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			s.panics.Add(1)
+			writeErr(w, fmt.Errorf("serve: %s %s: %w: %v", r.Method, r.URL.Path, errPanic, v))
+		}()
+		next.ServeHTTP(w, r)
+	})
 }
 
 // withNS resolves the {ns} path segment before the handler runs.
@@ -522,6 +550,7 @@ const retryAfter = "1"
 
 var errUnknownNamespace = errors.New("unknown namespace")
 var errUnknownSnapshot = errors.New("unknown snapshot")
+var errPanic = errors.New("handler panic")
 
 // badRequest tags client errors for Status.
 type badRequest struct{ msg string }
@@ -553,6 +582,8 @@ func Status(err error) (httpStatus int, code string) {
 		return http.StatusServiceUnavailable, "closed"
 	case errors.Is(err, core.ErrStatic):
 		return http.StatusConflict, "static"
+	case errors.Is(err, errPanic):
+		return http.StatusInternalServerError, "panic"
 	case vfs.IsStorageErr(err):
 		// The fatal storage fault that LATCHES degraded mode: the same
 		// 503 its successors get from the ErrDegraded latch, so
@@ -908,6 +939,8 @@ type statsResp struct {
 	// Rebalance reports shard-rebalancing activity; omitted for
 	// namespaces opened without "rebalance": true.
 	Rebalance *core.RebalanceStats `json:"rebalance,omitempty"`
+	// Panics counts handler panics recovered into 500s, server-wide.
+	Panics uint64 `json:"panics"`
 }
 
 func handleStats(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -919,6 +952,7 @@ func handleStats(s *Server, ns *namespace, w http.ResponseWriter, r *http.Reques
 		Resilience: ns.db.Resilience(),
 		Recovery:   ns.db.Recover(),
 		Snapshots:  ns.db.OpenSnapshots(),
+		Panics:     s.panics.Load(),
 	}
 	if ns.cfg.Rebalance {
 		rb := ns.db.RebalanceStats()

@@ -257,6 +257,7 @@ func TestStatusTable(t *testing.T) {
 		{fmt.Errorf("x: %w", errUnknownNamespace), 404, "not-found"},
 		{fmt.Errorf("x: %w", errUnknownSnapshot), 404, "not-found"},
 		{badRequestf("no"), 400, "bad-request"},
+		{fmt.Errorf("x: %w", errPanic), 500, "panic"},
 		{errors.New("surprise"), 500, "internal"},
 	}
 	for _, tc := range cases {

@@ -311,6 +311,19 @@ func (e *Engine) ShardDisk(i int) *emio.Disk {
 	return e.shards[i].disk
 }
 
+// DropCache empties every live shard disk's frame cache (pinned frames
+// stay), so the next operation starts cold — the measurement hook
+// behind cold-cache I/O counts.
+func (e *Engine) DropCache() {
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	for _, s := range e.shards {
+		s.mu.Lock()
+		s.disk.DropCache()
+		s.mu.Unlock()
+	}
+}
+
 // Quiesce blocks until every in-flight per-shard task has completed: it
 // fills the worker semaphore (once all slots are held, no pooled
 // goroutine can still be running) and takes each shard's mutex once (no
@@ -375,18 +388,61 @@ func (e *Engine) submit(wg *sync.WaitGroup, fn func()) {
 // so pooled buffers never pin per-shard answers.
 var partsPool = sync.Pool{New: func() any { return new([][]geom.Point) }}
 
-// fanOut runs query against every shard overlapping [x1, x2] through
-// the worker pool and merges the per-shard skylines right-to-left. Both
-// query families share it: shards are x-disjoint and each per-shard
-// answer is a range skyline, so the max-y survivor merge is exact.
-func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []geom.Point {
+// fanOut answers q on every shard overlapping [q.X1, q.X2] — from the
+// top-open structures when top is set, the Theorem 6 ones otherwise —
+// and merges
+// the per-shard skylines right-to-left. Both query families share it:
+// shards are x-disjoint and each per-shard answer is a range skyline,
+// so the max-y survivor merge is exact. A query overlapping one shard —
+// every query of a one-shard engine — runs inline on the caller's
+// goroutine, skipping the worker-pool hop and the merge.
+func (e *Engine) fanOut(q geom.Rect, top bool) []geom.Point {
 	e.queries.Add(1)
-	if x1 > x2 {
+	if q.X1 > q.X2 {
 		return nil
 	}
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
-	lo, hi := e.shardFor(x1), e.shardFor(x2)
+	var out []geom.Point
+	if lo, hi := e.shardFor(q.X1), e.shardFor(q.X2); lo == hi {
+		out = nonEmpty(e.shards[lo].run(q, top))
+	} else {
+		out = e.gather(lo, hi, func(i int) []geom.Point { return e.shards[i].run(q, top) })
+	}
+	e.points.Add(uint64(len(out)))
+	return out
+}
+
+// run answers q on the shard under its mutex, counting the load.
+func (s *shard) run(q geom.Rect, top bool) []geom.Point {
+	s.load.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return ask(s.top, s.four, q, top)
+}
+
+// ask answers q from a shard's top-open structure when top is set (q
+// is then [X1,X2] × [Y1,∞)), from its Theorem 6 structure otherwise.
+func ask(t topIndex, f fourIndex, q geom.Rect, top bool) []geom.Point {
+	if top {
+		return t.Query(q.X1, q.X2, q.Y1)
+	}
+	return f.Query(q)
+}
+
+// nonEmpty is mergeSkylines of a single per-shard answer: the answer
+// itself, nil when empty.
+func nonEmpty(sky []geom.Point) []geom.Point {
+	if len(sky) == 0 {
+		return nil
+	}
+	return sky
+}
+
+// gather runs query(i) for every shard index i in [lo, hi] through the
+// worker pool and merges the per-shard skylines right-to-left. The
+// live engine and its snapshots share it.
+func (e *Engine) gather(lo, hi int, query func(i int) []geom.Point) []geom.Point {
 	pp := partsPool.Get().(*[][]geom.Point)
 	parts := *pp
 	if need := hi - lo + 1; cap(parts) < need {
@@ -396,13 +452,7 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 	}
 	var wg sync.WaitGroup
 	for i := lo; i <= hi; i++ {
-		s, slot := e.shards[i], i-lo
-		s.load.Add(1)
-		e.submit(&wg, func() {
-			s.mu.Lock()
-			parts[slot] = query(s)
-			s.mu.Unlock()
-		})
+		e.submit(&wg, func() { parts[i-lo] = query(i) })
 	}
 	wg.Wait()
 	out := mergeSkylines(parts)
@@ -411,7 +461,6 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 	}
 	*pp = parts[:0]
 	partsPool.Put(pp)
-	e.points.Add(uint64(len(out)))
 	return out
 }
 
@@ -420,9 +469,7 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 // merging their answers. The result is identical to a single-disk
 // structure over the whole point set.
 func (e *Engine) TopOpen(x1, x2, beta geom.Coord) []geom.Point {
-	return e.fanOut(x1, x2, func(s *shard) []geom.Point {
-		return s.top.Query(x1, x2, beta)
-	})
+	return e.fanOut(geom.TopOpen(x1, x2, beta), true)
 }
 
 // FourSided reports the range skyline of an arbitrary rectangle (the
@@ -440,9 +487,7 @@ func (e *Engine) FourSided(q geom.Rect) []geom.Point {
 		e.queries.Add(1)
 		return nil
 	}
-	return e.fanOut(q.X1, q.X2, func(s *shard) []geom.Point {
-		return s.four.Query(q)
-	})
+	return e.fanOut(q, false)
 }
 
 // RangeSkyline answers any Figure-2 rectangle, routing the top-open
@@ -574,9 +619,10 @@ func (e *Engine) Delete(p geom.Point) (bool, error) {
 	return ok, err
 }
 
-// groupByShard splits pts by destination shard.
-func (e *Engine) groupByShard(pts []geom.Point) map[int][]geom.Point {
-	groups := make(map[int][]geom.Point)
+// groupByShard splits pts by destination shard: groups[i] holds shard
+// i's points in batch order. Caller holds topoMu.
+func (e *Engine) groupByShard(pts []geom.Point) [][]geom.Point {
+	groups := make([][]geom.Point, len(e.shards))
 	for _, p := range pts {
 		i := e.shardFor(p.X)
 		groups[i] = append(groups[i], p)
@@ -595,7 +641,10 @@ func (e *Engine) BatchInsert(pts []geom.Point) error {
 	var wg sync.WaitGroup
 	e.topoMu.RLock()
 	for i, group := range e.groupByShard(pts) {
-		s, group := e.shards[i], group
+		if len(group) == 0 {
+			continue
+		}
+		s := e.shards[i]
 		s.load.Add(uint64(len(group)))
 		e.submit(&wg, func() {
 			s.mu.Lock()
@@ -624,7 +673,9 @@ func (e *Engine) BatchDelete(pts []geom.Point) (int, error) {
 }
 
 // BatchDeleteRemoved is BatchDelete reporting the removed points
-// themselves, not just their count. The planner uses it for its
+// themselves, not just their count, ordered by shard (increasing x-range)
+// and in batch order within each shard — the same order for the same
+// batch on the same topology. The planner uses it for its
 // presence-check-first batch fan-out: because each shard serializes its
 // deletes, concurrent overlapping batches resolve every contended point
 // to exactly one caller, and the reported subsets are disjoint across
@@ -639,12 +690,12 @@ func (e *Engine) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
 	var errMu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
-	next := 0
 	for i, group := range groups {
-		s, group := e.shards[i], group
+		if len(group) == 0 {
+			continue
+		}
+		s, slot := e.shards[i], &removedGroups[i]
 		s.load.Add(uint64(len(group)))
-		slot := &removedGroups[next]
-		next++
 		e.submit(&wg, func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()

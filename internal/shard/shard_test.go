@@ -492,3 +492,40 @@ func TestQuiesce(t *testing.T) {
 		t.Fatalf("Len after quiesce = %d, want %d", eng.Len(), len(pts))
 	}
 }
+
+// TestBatchDeleteRemovedOrder pins the removed subset's order: grouped
+// by shard in increasing x-range, batch order within each shard — the
+// same answer every time for the same batch, however the worker pool
+// schedules the per-shard tasks.
+func TestBatchDeleteRemovedOrder(t *testing.T) {
+	pts := geom.GenUniform(400, 400*16, 71)
+	geom.SortByX(pts)
+	cuts := func() []geom.Coord {
+		e, err := New(Options{Machine: testCfg, Shards: 4, Dynamic: true}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Cuts()
+	}()
+	// One point from each shard, listed right to left, plus a miss.
+	var batch []geom.Point
+	for i := 3; i >= 0; i-- {
+		batch = append(batch, pts[i*100+50])
+	}
+	batch = append(batch, geom.Point{X: -1, Y: -1})
+	want := []geom.Point{batch[3], batch[2], batch[1], batch[0]}
+	if len(cuts) != 3 || !(want[0].X <= cuts[0] && cuts[2] < want[3].X) {
+		t.Fatalf("batch does not span the four shards: cuts %v, batch %v", cuts, batch)
+	}
+	for rep := 0; rep < 20; rep++ {
+		e, err := New(Options{Machine: testCfg, Shards: 4, Workers: 4, Dynamic: true}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.BatchDeleteRemoved(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePoints(t, got, want, "repeat "+itoa(rep))
+	}
+}

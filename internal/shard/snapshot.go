@@ -19,7 +19,6 @@ package shard
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/emio"
@@ -113,43 +112,27 @@ func (sv *Snapshot) Release() {
 }
 
 // fanOut is the snapshot's lock-free counterpart of Engine.fanOut:
-// same worker pool, same buffer recycling, same right-to-left merge —
+// same inline single-shard path, worker pool and right-to-left merge,
 // no shard mutexes, because the pinned state is immutable.
-func (sv *Snapshot) fanOut(x1, x2 geom.Coord, query func(*shardView) []geom.Point) []geom.Point {
-	if x1 > x2 {
+func (sv *Snapshot) fanOut(q geom.Rect, top bool) []geom.Point {
+	if q.X1 > q.X2 {
 		return nil
 	}
-	lo := sort.Search(len(sv.cuts), func(i int) bool { return x1 <= sv.cuts[i] })
-	hi := sort.Search(len(sv.cuts), func(i int) bool { return x2 <= sv.cuts[i] })
-	pp := partsPool.Get().(*[][]geom.Point)
-	parts := *pp
-	if need := hi - lo + 1; cap(parts) < need {
-		parts = make([][]geom.Point, need)
-	} else {
-		parts = parts[:need]
+	lo := sort.Search(len(sv.cuts), func(i int) bool { return q.X1 <= sv.cuts[i] })
+	hi := sort.Search(len(sv.cuts), func(i int) bool { return q.X2 <= sv.cuts[i] })
+	if lo == hi {
+		w := sv.shards[lo]
+		return nonEmpty(ask(w.top, w.four, q, top))
 	}
-	var wg sync.WaitGroup
-	for i := lo; i <= hi; i++ {
-		w, slot := sv.shards[i], i-lo
-		sv.e.submit(&wg, func() {
-			parts[slot] = query(w)
-		})
-	}
-	wg.Wait()
-	out := mergeSkylines(parts)
-	for i := range parts {
-		parts[i] = nil
-	}
-	*pp = parts[:0]
-	partsPool.Put(pp)
-	return out
+	return sv.e.gather(lo, hi, func(i int) []geom.Point {
+		w := sv.shards[i]
+		return ask(w.top, w.four, q, top)
+	})
 }
 
 // TopOpen reports the pinned range skyline of [x1,x2] × [beta, ∞).
 func (sv *Snapshot) TopOpen(x1, x2, beta geom.Coord) []geom.Point {
-	return sv.fanOut(x1, x2, func(w *shardView) []geom.Point {
-		return w.top.Query(x1, x2, beta)
-	})
+	return sv.fanOut(geom.TopOpen(x1, x2, beta), true)
 }
 
 // FourSided reports the pinned range skyline of an arbitrary rectangle
@@ -161,9 +144,7 @@ func (sv *Snapshot) FourSided(q geom.Rect) []geom.Point {
 	if q.Y1 > q.Y2 {
 		return nil
 	}
-	return sv.fanOut(q.X1, q.X2, func(w *shardView) []geom.Point {
-		return w.four.Query(q)
-	})
+	return sv.fanOut(q, false)
 }
 
 // RangeSkyline answers any Figure-2 rectangle against the pinned

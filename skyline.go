@@ -23,13 +23,14 @@
 // DB.BatchInsert/DB.BatchDelete, which amortize per-call overhead
 // across the batch.
 //
-// Opening with Options{Shards: K, Workers: W} partitions the point set
-// by x-range across K shards, each with a private simulated disk
-// carrying both a top-open and a 4-sided structure, and serves every
-// query shape from a concurrent worker-pool engine (internal/shard)
-// whose answers are identical to the single-disk structures'. Batched
-// updates group by destination shard and take each shard lock once per
-// batch.
+// Every index is a sharded engine (internal/shard): the point set is
+// partitioned by x-range across K shards (Options.Shards, default one),
+// each with a private simulated disk carrying both a top-open and a
+// 4-sided structure, so one shard is exactly the paper's single-disk
+// index and any K answers identically. Every index is safe for
+// concurrent callers; more shards spread them across disks and a
+// worker pool (Options.Workers). Batched updates group by destination
+// shard and take each shard lock once per batch.
 //
 // Opening with Options{Mirrors: true} additionally maintains a
 // transposed (x↔y) copy of the point set under its own top-open
@@ -48,7 +49,7 @@
 // re-answered from memory at zero simulated I/O, byte-identically to
 // the uncached answers, and updates invalidate only the entries whose
 // rectangles could contain the written point — shard-aware when the
-// index is sharded (only the written shard's x-slab is scanned out,
+// index has several shards (only the written shard's x-slab is scanned out,
 // refined by the mirrored engine's y-cuts when Mirrors is on too).
 //
 // Opening with Options{AsyncWrites: true} buffers every write in

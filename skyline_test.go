@@ -10,29 +10,31 @@ func TestPublicAPISmoke(t *testing.T) {
 		{X: 1, Y: 9}, {X: 2, Y: 4}, {X: 3, Y: 7}, {X: 5, Y: 6},
 		{X: 6, Y: 2}, {X: 7, Y: 5}, {X: 8, Y: 1}, {X: 9, Y: 3},
 	}
-	db, err := Open(Options{}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := db.TopOpen(2, 8, 2)
-	want := RangeSkyline(pts, TopOpen(2, 8, 2))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TopOpen = %v, want %v", got, want)
-	}
-	db.Disk().DropCache()
-	db.ResetStats()
-	db.TopOpen(2, 8, 2)
-	if db.Stats().IOs() == 0 {
-		t.Error("cold-cache query charged no I/Os")
-	}
-	if got := db.RangeSkyline(Rect{X1: 2, X2: 8, Y1: 2, Y2: 6}); !reflect.DeepEqual(got, RangeSkyline(pts, Rect{X1: 2, X2: 8, Y1: 2, Y2: 6})) {
-		t.Fatalf("4-sided = %v", got)
+	for _, shards := range []int{0, 4} {
+		db, err := Open(Options{Shards: shards}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := db.TopOpen(2, 8, 2)
+		want := RangeSkyline(pts, TopOpen(2, 8, 2))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: TopOpen = %v, want %v", shards, got, want)
+		}
+		db.DropCache()
+		db.ResetStats()
+		db.TopOpen(2, 8, 2)
+		if db.Stats().IOs() == 0 {
+			t.Errorf("shards=%d: cold-cache query charged no I/Os", shards)
+		}
+		if got := db.RangeSkyline(Rect{X1: 2, X2: 8, Y1: 2, Y2: 6}); !reflect.DeepEqual(got, RangeSkyline(pts, Rect{X1: 2, X2: 8, Y1: 2, Y2: 6})) {
+			t.Fatalf("shards=%d: 4-sided = %v", shards, got)
+		}
 	}
 }
 
 // TestPublicFigure2Parity checks that all seven Figure-2 shapes are
 // reachable both as rectangle constructors and as named DB methods, on
-// single-disk and sharded dynamic indexes, and that the batched update
+// one-shard and three-shard dynamic indexes, and that the batched update
 // path is part of the public surface.
 func TestPublicFigure2Parity(t *testing.T) {
 	pts := []Point{
